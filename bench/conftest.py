@@ -1,0 +1,8 @@
+"""Lets the benchmark's tests import its modules and the library sources
+from a plain checkout: ``python3 -m pytest bench``."""
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
