@@ -50,7 +50,14 @@ from .intervals import (
 )
 from .patterns import BalanceFlag, classify_balanced, interior_count
 from .polynomials import Polynomial
-from .tamari import hasse_dot, tamari_poset
+from .tamari import (
+    IncomparableError,
+    covers,
+    hasse_dot,
+    interval,
+    tamari_leq,
+    tamari_poset,
+)
 from .trees import parse, serialize
 
 
@@ -121,9 +128,10 @@ def _balanced_counts(max_n: int) -> tuple[int, ...]:
         count = poly.coefficient({"x": n + 1})
         if n <= _ENUM_CROSS_CHECK_MAX:
             enumerated = len(balanced_trees(n))
-            assert enumerated == count, (
-                f"balanced routes disagree at n={n}: {enumerated} vs {count}"
-            )
+            if enumerated != count:
+                raise AssertionError(
+                    f"balanced routes disagree at n={n}: {enumerated} vs {count}"
+                )
         out.append(count)
     return tuple(out)
 
@@ -139,19 +147,24 @@ def _maximal_balanced_counts(max_n: int) -> tuple[int, ...]:
                 for t in balanced_trees(n)
                 if BalanceFlag.MAXIMAL_RIGHT in classify_balanced(t)
             )
-            assert brute == count, (
-                f"maximal routes disagree at n={n}: {brute} vs {count}"
-            )
+            if brute != count:
+                raise AssertionError(
+                    f"maximal routes disagree at n={n}: {brute} vs {count}"
+                )
         out.append(count)
     return tuple(out)
 
 
+# The interval counters run from the largest size down: the grammar
+# series computed for it answers every smaller size.
 def _interval_counts(max_n: int) -> tuple[int, ...]:
-    return tuple(count_balanced_intervals(n) for n in range(max_n + 1))
+    counts = [count_balanced_intervals(n) for n in range(max_n, -1, -1)]
+    return tuple(reversed(counts))
 
 
 def _maximal_interval_counts(max_n: int) -> tuple[int, ...]:
-    return tuple(count_maximal_balanced_intervals(n) for n in range(max_n + 1))
+    counts = [count_maximal_balanced_intervals(n) for n in range(max_n, -1, -1)]
+    return tuple(reversed(counts))
 
 
 def _interior_counts(max_h: int) -> tuple[int, ...]:
@@ -340,17 +353,14 @@ def _closure_family_at(task: tuple[int, str]) -> dict | None:
 
 
 def _hypercube_at(n: int) -> dict:
-    poset = tamari_poset(n)
     trees = balanced_trees(n)
-    indices = [poset.index(t) for t in trees]
     histogram: dict[int, int] = {}
     failing: list[str] | None = None
-    for j, upper in zip(indices, trees):
-        down = poset.down_mask(j)
-        for i, lower in zip(indices, trees):
-            if not down >> i & 1:
+    for upper in trees:
+        for lower in trees:
+            if not tamari_leq(lower, upper):
                 continue
-            k, ok = verify_hypercube(lower, upper, poset)
+            k, ok = verify_hypercube(lower, upper)
             if not ok and failing is None:
                 failing = [serialize(lower), serialize(upper)]
             histogram[k] = histogram.get(k, 0) + 1
@@ -526,22 +536,14 @@ def _hasse_graph(args: argparse.Namespace) -> tuple[str, int, int]:
             f"hasse interval is capped at n={_HASSE_MAX_INTERVAL}, "
             f"got {lower.node_count}"
         )
-    poset = tamari_poset(lower.node_count)
-    i0 = poset.index(lower)
-    i1 = poset.index(upper)
-    members = poset.interval_indices(i0, i1)
-    if not members:
+    try:
+        trees = interval(lower, upper)
+    except IncomparableError:
         raise UsageError(
             f"empty interval: {args.lower} does not precede {args.upper}"
-        )
-    member_set = set(members)
-    trees = [poset.elements[i] for i in members]
-    edges = [
-        (poset.elements[i], poset.elements[j])
-        for i in members
-        for j in poset.cover_edges[i]
-        if j in member_set
-    ]
+        ) from None
+    members = set(trees)
+    edges = [(t, c) for t in trees for c in covers(t) if c in members]
     dot = hasse_dot(
         trees, edges, highlight=frozenset({lower, upper}), graph_name="interval"
     )

@@ -5,14 +5,15 @@ the lower endpoint carries a set of conservative rotation roots, the
 rotations at those roots commute, and applying an arbitrary subset gives
 the elements of the interval.  This module computes the root sets,
 verifies the hypercube isomorphism explicitly, counts balanced and
-maximal balanced intervals along two independent routes (poset brute
-force and grammar series), and builds the balanced subposet.
+maximal balanced intervals along two independent routes (brute force
+over the balanced trees and grammar series), and builds the balanced
+subposet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import le
 from typing import Callable, Iterable
 
 from .balance import RotationKind, classify_rotation, balanced_trees, is_balanced
@@ -21,13 +22,12 @@ from .patterns import BalanceFlag, classify_balanced
 from .polynomials import Monomial, Polynomial
 from .tamari import (
     IncomparableError,
-    TamariPoset,
+    bracket_vector,
     hasse_dot,
     interval,
     right_rotation,
     rotation_ranks,
     tamari_leq,
-    tamari_poset,
 )
 from .trees import BinaryTree, child_ranks, serialize
 
@@ -43,7 +43,7 @@ class RotationRootSet:
         """Tree obtained by rotating the base at a subset of the roots.
 
         The rotations commute; this applies them in ascending rank order
-        and asserts that descending order agrees.
+        and checks that descending order agrees.
         """
         chosen = sorted(set(ranks))
         if not set(chosen) <= self.ranks:
@@ -54,40 +54,36 @@ class RotationRootSet:
         descending = self.base
         for rank in reversed(chosen):
             descending = right_rotation(descending, rank)
-        assert ascending == descending, "root rotations failed to commute"
+        if ascending != descending:
+            raise AssertionError("root rotations failed to commute")
         return ascending
 
 
-def _below_checker(
-    t1: BinaryTree, poset: TamariPoset | None
-) -> Callable[[BinaryTree], bool]:
-    if poset is None:
-        return lambda u: tamari_leq(u, t1)
-    mask = poset.down_mask(poset.index(t1))
-    return lambda u: bool(mask >> poset.index(u) & 1)
+def _below_checker(t1: BinaryTree) -> Callable[[BinaryTree], bool]:
+    """Test ``u <= t1`` for trees ``u`` of the size of ``t1``."""
+    upper = bracket_vector(t1)
+    return lambda u: all(map(le, bracket_vector(u), upper))
 
 
-def _require_balanced_pair(t0: BinaryTree, t1: BinaryTree, poset) -> None:
+def _require_balanced_pair(t0: BinaryTree, t1: BinaryTree) -> None:
     if not is_balanced(t0) or not is_balanced(t1):
         raise ValueError("both interval endpoints must be balanced")
-    if not tamari_leq(t0, t1, poset=poset):
+    if not tamari_leq(t0, t1):
         raise IncomparableError(
             f"{serialize(t0)} is not below {serialize(t1)}"
         )
 
 
-def rotation_root_set(
-    t0: BinaryTree, t1: BinaryTree, poset: TamariPoset | None = None
-) -> RotationRootSet:
+def rotation_root_set(t0: BinaryTree, t1: BinaryTree) -> RotationRootSet:
     """Roots of the conservative rotations transforming ``t0`` into ``t1``.
 
     Greedy: repeatedly apply any conservative balancing rotation that
     stays below ``t1``.  The root set is order-independent; a replay in
-    the opposite order is asserted.  Endpoints must be balanced and
+    the opposite order is checked.  Endpoints must be balanced and
     comparable.
     """
-    _require_balanced_pair(t0, t1, poset)
-    below = _below_checker(t1, poset)
+    _require_balanced_pair(t0, t1)
+    below = _below_checker(t1)
     ranks: list[int] = []
     cur = t0
     while cur != t1:
@@ -106,30 +102,28 @@ def rotation_root_set(
             raise AssertionError(
                 "no conservative rotation advances toward the upper endpoint"
             )
-    assert len(set(ranks)) == len(ranks), "a root repeated"
+    if len(set(ranks)) != len(ranks):
+        raise AssertionError("a root repeated")
     result = RotationRootSet(t0, frozenset(ranks))
     replay = t0
     for rank in sorted(ranks, reverse=True):
         replay = right_rotation(replay, rank)
-    assert replay == t1, "root set is order-dependent"
+    if replay != t1:
+        raise AssertionError("root set is order-dependent")
     for rank in result.ranks:
-        left_rank = child_ranks(t0, rank)[0]
-        assert left_rank not in result.ranks, (
-            "left child of a root cannot be a root"
-        )
+        if child_ranks(t0, rank)[0] in result.ranks:
+            raise AssertionError("left child of a root cannot be a root")
     return result
 
 
-def verify_hypercube(
-    t0: BinaryTree, t1: BinaryTree, poset: TamariPoset | None = None
-) -> tuple[int, bool]:
+def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
     """Dimension of the interval and whether it is a genuine hypercube.
 
     Builds the subset-to-tree map over the rotation root set and checks
     that it hits every interval element exactly once and that subset
     inclusion coincides with the rotation order on the interval.
     """
-    roots = rotation_root_set(t0, t1, poset)
+    roots = rotation_root_set(t0, t1)
     ranks = sorted(roots.ranks)
     k = len(ranks)
     trees: list[BinaryTree] = []
@@ -138,9 +132,9 @@ def verify_hypercube(
         trees.append(roots.apply(subset))
     if len(set(trees)) != 1 << k:
         return k, False
-    if set(trees) != set(interval(t0, t1, poset=poset)):
+    if set(trees) != set(interval(t0, t1)):
         return k, False
-    checkers = [_below_checker(t, poset) for t in trees]
+    checkers = [_below_checker(t) for t in trees]
     for lo in range(1 << k):
         for hi in range(1 << k):
             contained = lo & hi == lo
@@ -149,51 +143,61 @@ def verify_hypercube(
     return k, True
 
 
-def hypercube_histogram(n: int, poset: TamariPoset | None = None) -> dict[int, int]:
+def hypercube_histogram(n: int) -> dict[int, int]:
     """Dimension counts over all comparable balanced pairs at size ``n``."""
-    poset = poset if poset is not None else tamari_poset(n)
     histogram: dict[int, int] = {}
     for upper in balanced_trees(n):
-        below = _below_checker(upper, poset)
+        below = _below_checker(upper)
         for lower in balanced_trees(n):
             if not below(lower):
                 continue
-            k = len(rotation_root_set(lower, upper, poset).ranks)
+            k = len(rotation_root_set(lower, upper).ranks)
             histogram[k] = histogram.get(k, 0) + 1
     return dict(sorted(histogram.items()))
 
 
-@lru_cache(maxsize=None)
+_SPECIALIZED: dict[str, tuple[int, Polynomial]] = {}
+
+
 def _specialized_series(name: str, max_degree: int) -> Polynomial:
-    """Grammar series with the auxiliary variables switched off."""
+    """Grammar series with the auxiliary variables switched off.
+
+    One series is kept per grammar, the one of the highest degree asked
+    for so far.  A truncated series is exact up to its degree, so it
+    answers any lower degree; the result may hold terms above
+    ``max_degree``.
+    """
+    kept = _SPECIALIZED.get(name)
+    if kept is not None and kept[0] >= max_degree:
+        return kept[1]
     full = series(builtin_grammar(name), max_degree)
     keep = {"x"} | full.markers
     zeros = {v: 0 for v in full.variables() - keep}
-    return full.specialize(zeros)
+    specialized = full.specialize(zeros)
+    _SPECIALIZED[name] = (max_degree, specialized)
+    return specialized
 
 
-def count_balanced_intervals(n: int, poset: TamariPoset | None = None) -> int:
+def count_balanced_intervals(n: int) -> int:
     """Number of comparable balanced pairs at size ``n``.
 
     Computed by brute force over the balanced trees and, independently,
     as a grammar series coefficient; the two must agree and the brute
     count is returned.
     """
-    poset = poset if poset is not None else tamari_poset(n)
     brute = 0
     for upper in balanced_trees(n):
-        below = _below_checker(upper, poset)
+        below = _below_checker(upper)
         brute += sum(1 for lower in balanced_trees(n) if below(lower))
     via_grammar = _specialized_series("bi", n + 1).coefficient({"x": n + 1})
-    assert brute == via_grammar, (
-        f"balanced interval routes disagree at n={n}: {brute} vs {via_grammar}"
-    )
+    if brute != via_grammar:
+        raise AssertionError(
+            f"balanced interval routes disagree at n={n}: {brute} vs {via_grammar}"
+        )
     return brute
 
 
-def _maximal_interval_pairs(
-    n: int, poset: TamariPoset
-) -> list[tuple[BinaryTree, BinaryTree]]:
+def _maximal_interval_pairs(n: int) -> list[tuple[BinaryTree, BinaryTree]]:
     lowers = [
         t
         for t in balanced_trees(n)
@@ -206,13 +210,13 @@ def _maximal_interval_pairs(
     ]
     pairs = []
     for upper in uppers:
-        below = _below_checker(upper, poset)
+        below = _below_checker(upper)
         pairs.extend((lower, upper) for lower in lowers if below(lower))
     return pairs
 
 
 def count_maximal_balanced_intervals(
-    n: int, by_dimension: bool = False, poset: TamariPoset | None = None
+    n: int, by_dimension: bool = False
 ) -> int | Polynomial:
     """Maximal balanced intervals at size ``n``.
 
@@ -222,18 +226,18 @@ def count_maximal_balanced_intervals(
     ``xi^k`` coefficient counts the dimension-k intervals.  Both forms
     are cross-checked against the corresponding grammar series.
     """
-    poset = poset if poset is not None else tamari_poset(n)
-    pairs = _maximal_interval_pairs(n, poset)
+    pairs = _maximal_interval_pairs(n)
     if not by_dimension:
         brute = len(pairs)
         via_grammar = _specialized_series("mbi", n + 1).coefficient({"x": n + 1})
-        assert brute == via_grammar, (
-            f"maximal interval routes disagree at n={n}: {brute} vs {via_grammar}"
-        )
+        if brute != via_grammar:
+            raise AssertionError(
+                f"maximal interval routes disagree at n={n}: {brute} vs {via_grammar}"
+            )
         return brute
     counts: dict[int, int] = {}
     for lower, upper in pairs:
-        k = len(rotation_root_set(lower, upper, poset).ranks)
+        k = len(rotation_root_set(lower, upper).ranks)
         counts[k] = counts.get(k, 0) + 1
     brute_poly = Polynomial(
         {Monomial({"xi": k} if k else {}): c for k, c in counts.items()},
@@ -248,10 +252,11 @@ def count_maximal_balanced_intervals(
         },
         markers=("xi",),
     )
-    assert brute_poly == via_grammar, (
-        f"refined maximal interval routes disagree at n={n}: "
-        f"{brute_poly} vs {via_grammar}"
-    )
+    if brute_poly != via_grammar:
+        raise AssertionError(
+            f"refined maximal interval routes disagree at n={n}: "
+            f"{brute_poly} vs {via_grammar}"
+        )
     return brute_poly
 
 
@@ -325,5 +330,9 @@ def balanced_subposet(n: int) -> BalancedSubposet:
             ):
                 edges.append((t, right_rotation(t, rank)))
     for src, dst in edges:
-        assert is_balanced(dst)
+        if not is_balanced(dst):
+            raise AssertionError(
+                f"conservative rotation left the balanced trees: "
+                f"{serialize(src)} -> {serialize(dst)}"
+            )
     return BalancedSubposet(n, trees, tuple(edges))

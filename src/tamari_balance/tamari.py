@@ -7,25 +7,26 @@ is stable under the rotation (the node at that rank becomes the root of
 ``T0 <= T1`` holds when some chain of right rotations leads from ``T0``
 to ``T1``.
 
-The search-based order test prunes with the right-subtree weight
-:func:`phi`, which strictly increases along every rotation.  For repeated
-queries on one size class, :func:`tamari_poset` materializes all trees
-with their cover edges and caches reachability sets per queried source.
+The order is decided without search by the bracket-vector criterion of
+Huang and Tamari (1972): ``T0 <= T1`` exactly when every entry of
+:func:`bracket_vector` of ``T0``, the right-subtree sizes in infix order,
+is at most the same entry for ``T1``.  :func:`tamari_poset` materializes
+all trees of one size with their cover edges and reachability masks; it
+serves work on the whole order, such as Hasse export and closure sweeps.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
+from operator import le
 
 from .trees import (
     BinaryTree,
     all_trees,
-    child_ranks,
     iter_subtrees,
     node,
     serialize,
-    subtree_at,
 )
 
 
@@ -89,6 +90,17 @@ def left_rotation(t: BinaryTree, rank: int) -> BinaryTree:
     return rebuild(t, rank)
 
 
+def bracket_vector(t: BinaryTree) -> tuple[int, ...]:
+    """Right-subtree size of every node, in infix order.
+
+    A right rotation raises one entry and leaves the others unchanged,
+    and ``T0 <= T1`` exactly when the vectors compare entrywise.
+    """
+    if t.left is None:
+        return ()
+    return bracket_vector(t.left) + (t.right.node_count,) + bracket_vector(t.right)
+
+
 def phi(t: BinaryTree) -> int:
     """Total weight of right subtrees; strictly increases per rotation."""
     return sum(sub.right.node_count for _, sub in iter_subtrees(t))
@@ -104,74 +116,38 @@ def covers(t: BinaryTree) -> tuple[BinaryTree, ...]:
     return tuple(right_rotation(t, rank) for rank in rotation_ranks(t))
 
 
-def tamari_leq(
-    t0: BinaryTree, t1: BinaryTree, poset: "TamariPoset | None" = None
-) -> bool:
+def tamari_leq(t0: BinaryTree, t1: BinaryTree) -> bool:
     """Whether ``t0 <= t1`` in the rotation order.
 
-    The trees must have the same node count.  Without a poset this runs a
-    forward search from ``t0`` pruned by :func:`phi`.
+    The trees must have the same node count; their bracket vectors are
+    compared entrywise.
     """
     if t0.node_count != t1.node_count:
         raise ValueError(
             f"cannot compare trees with {t0.node_count} and {t1.node_count} nodes"
         )
-    if t0 == t1:
-        return True
-    if poset is not None:
-        return poset.leq_index(poset.index(t0), poset.index(t1))
-    bound = phi(t1)
-    if phi(t0) >= bound:
-        return False
-    seen = {t0}
-    queue = deque([t0])
-    while queue:
-        cur = queue.popleft()
-        for nxt in covers(cur):
-            if nxt in seen:
-                continue
-            if nxt == t1:
-                return True
-            if phi(nxt) < bound:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
+    return all(map(le, bracket_vector(t0), bracket_vector(t1)))
 
 
-def interval(
-    t0: BinaryTree, t1: BinaryTree, poset: "TamariPoset | None" = None
-) -> tuple[BinaryTree, ...]:
+def interval(t0: BinaryTree, t1: BinaryTree) -> tuple[BinaryTree, ...]:
     """All trees ``t`` with ``t0 <= t <= t1``, sorted by tree string.
 
     Raises :class:`IncomparableError` when the endpoints are not ordered
     (so an unordered pair is distinguishable from a singleton interval).
+    Every member lies on a chain of covers from ``t0`` that stays below
+    ``t1``, so the walk keeps only covers whose vector stays at or below
+    the vector of ``t1``.
     """
-    if t0.node_count != t1.node_count:
-        raise ValueError(
-            f"cannot compare trees with {t0.node_count} and {t1.node_count} nodes"
-        )
-    if poset is not None:
-        i, j = poset.index(t0), poset.index(t1)
-        if not poset.leq_index(i, j):
-            raise IncomparableError(
-                f"{serialize(t0)} is not below {serialize(t1)}"
-            )
-        members = [
-            poset.elements[k] for k in poset.interval_indices(i, j)
-        ]
-        return tuple(sorted(members, key=serialize))
     if not tamari_leq(t0, t1):
         raise IncomparableError(f"{serialize(t0)} is not below {serialize(t1)}")
-    bound = phi(t1)
-    reachable = {t0}
-    queue = deque([t0])
-    while queue:
-        cur = queue.popleft()
-        for nxt in covers(cur):
-            if nxt not in reachable and phi(nxt) <= bound:
-                reachable.add(nxt)
-                queue.append(nxt)
-    members = [t for t in reachable if tamari_leq(t, t1)]
+    upper = bracket_vector(t1)
+    members = {t0}
+    stack = [t0]
+    while stack:
+        for nxt in covers(stack.pop()):
+            if nxt not in members and all(map(le, bracket_vector(nxt), upper)):
+                members.add(nxt)
+                stack.append(nxt)
     return tuple(sorted(members, key=serialize))
 
 
@@ -248,13 +224,6 @@ class TamariPoset:
             mask = self._reach_mask(j, self._reverse_edges())
             self._down[j] = mask
         return mask
-
-    def leq_index(self, i: int, j: int) -> bool:
-        if i in self._up:
-            return bool(self._up[i] >> j & 1)
-        if j in self._down:
-            return bool(self._down[j] >> i & 1)
-        return bool(self.up_mask(i) >> j & 1)
 
     def interval_indices(self, i: int, j: int) -> list[int]:
         """Indices of the interval ``[elements[i], elements[j]]``."""

@@ -124,7 +124,7 @@ def test_ac03_balanced_intervals_are_hypercubes():
             for i, lower in zip(indices, trees):
                 if not down >> i & 1:
                     continue
-                k, ok = verify_hypercube(lower, upper, poset)
+                k, ok = verify_hypercube(lower, upper)
                 assert ok, f"[{serialize(lower)}, {serialize(upper)}]"
                 size = len(poset.interval_indices(i, j))
                 assert size == 1 << k
@@ -132,23 +132,15 @@ def test_ac03_balanced_intervals_are_hypercubes():
                 weighted += 1 << k
                 cells += size
         assert weighted == cells
-        assert dict(histogram) == hypercube_histogram(n, poset)
+        assert dict(histogram) == hypercube_histogram(n)
     assert time.perf_counter() - start < 60.0
 
 
 def test_ac04_interval_counts_brute_force_and_series():
     for n in range(12):
-        assert (
-            count_balanced_intervals(n, poset=poset_for(n))
-            == BALANCED_INTERVAL_COUNTS[n]
-        )
-        assert (
-            count_maximal_balanced_intervals(n, poset=poset_for(n))
-            == MAXIMAL_INTERVAL_COUNTS[n]
-        )
-    refined = count_maximal_balanced_intervals(
-        11, by_dimension=True, poset=poset_for(11)
-    )
+        assert count_balanced_intervals(n) == BALANCED_INTERVAL_COUNTS[n]
+        assert count_maximal_balanced_intervals(n) == MAXIMAL_INTERVAL_COUNTS[n]
+    refined = count_maximal_balanced_intervals(11, by_dimension=True)
     assert refined == poly(
         {
             (("xi", 1),): 1,

@@ -366,8 +366,69 @@ class TestIterates:
             assert its[steps] == total
 
 
+def _graft(tree, subtrees):
+    """Replace the frontier buds of ``tree``, left to right."""
+    if isinstance(tree, Bud):
+        return next(subtrees)
+    return BudNode(
+        tree.label, tuple(_graft(c, subtrees) for c in tree.children), tree.marked
+    )
+
+
+def _derive_within(g, tree, max_degree):
+    """The trees of ``derive_all(g, tree)`` with at most ``max_degree``
+    frontier buds, in the same order, without building the larger ones.
+
+    A derivation replaces each frontier bud by the tree of one of its
+    rules, so its frontier size is the sum of the chosen trees' sizes.
+    """
+    options = [
+        [(len(frontier(rule.tree)), rule.tree) for rule in g.rules_for(name)]
+        for name in frontier(tree)
+    ]
+    if not options:
+        return []
+    least = [0] * (len(options) + 1)
+    for i in reversed(range(len(options))):
+        least[i] = least[i + 1] + min(size for size, _ in options[i])
+    results = []
+    chosen = []
+
+    def pick(i, used):
+        if i == len(options):
+            results.append(_graft(tree, iter(chosen)))
+            return
+        for size, sub in options[i]:
+            if used + size + least[i + 1] <= max_degree:
+                chosen.append(sub)
+                pick(i + 1, used + size)
+                chosen.pop()
+
+    pick(0, 0)
+    return results
+
+
+def test_derive_within_is_derive_all_cut_by_frontier():
+    for name in builtin_names():
+        g = builtin_grammar(name)
+        level = [Bud(g.axiom)]
+        for _ in range(3):
+            level = [
+                d for t in level for d in derive_all(g, t) if len(frontier(d)) <= 4
+            ][:20]
+            for tree in level:
+                for bound in range(7):
+                    assert _derive_within(g, tree, bound) == [
+                        d for d in derive_all(g, tree) if len(frontier(d)) <= bound
+                    ], (name, str(tree), bound)
+
+
 def _series_from_generation(g, max_degree, max_levels=200):
-    """Sum tree evaluations level by level, pruning oversized trees."""
+    """Sum tree evaluations level by level, pruning oversized trees.
+
+    Derivations with more than ``max_degree`` frontier buds are dropped
+    before they are built.
+    """
     total = Polynomial.zero(g.markers)
     level = [Bud(g.axiom)]
     for _ in range(max_levels):
@@ -380,11 +441,8 @@ def _series_from_generation(g, max_degree, max_levels=200):
             if marked_count(tree):
                 mono = mono * Monomial({m: marked_count(tree) for m in g.markers})
             total = total + Polynomial({mono: 1}, g.markers)
-            for derived in derive_all(g, tree):
-                if (
-                    derived not in seen
-                    and len(frontier(derived)) <= max_degree
-                ):
+            for derived in _derive_within(g, tree, max_degree):
+                if derived not in seen:
                     seen.add(derived)
                     nxt.append(derived)
         level = nxt

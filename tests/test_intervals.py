@@ -1,5 +1,8 @@
 """Tests for the hypercube structure of balanced intervals."""
 
+import subprocess
+import sys
+
 import pytest
 
 from tamari_balance.balance import (
@@ -74,7 +77,7 @@ class TestRotationRootSet:
     def test_replay_reaches_upper_endpoint(self, n):
         poset = tamari_poset(n)
         for lower, upper in balanced_comparable_pairs(n, poset):
-            roots = rotation_root_set(lower, upper, poset)
+            roots = rotation_root_set(lower, upper)
             assert roots.apply(roots.ranks) == upper
             assert roots.apply(()) == lower
 
@@ -94,27 +97,27 @@ class TestVerifyHypercube:
     def test_exhaustive_small(self, n):
         poset = tamari_poset(n)
         for lower, upper in balanced_comparable_pairs(n, poset):
-            k, ok = verify_hypercube(lower, upper, poset)
+            k, ok = verify_hypercube(lower, upper)
             assert ok, (serialize(lower), serialize(upper))
-            assert len(interval(lower, upper, poset=poset)) == 2**k
+            assert len(interval(lower, upper)) == 2**k
 
     def test_three_cube_exists_at_seven_nodes(self):
         poset = tamari_poset(7)
         dimensions = {}
         for lower, upper in balanced_comparable_pairs(7, poset):
-            k, ok = verify_hypercube(lower, upper, poset)
+            k, ok = verify_hypercube(lower, upper)
             assert ok
             dimensions[k] = dimensions.get(k, 0) + 1
         assert 3 in dimensions
 
     def test_histogram_consistency(self):
         poset = tamari_poset(8)
-        histogram = hypercube_histogram(8, poset)
-        assert sum(histogram.values()) == count_balanced_intervals(8, poset)
+        histogram = hypercube_histogram(8)
+        assert sum(histogram.values()) == count_balanced_intervals(8)
         total_elements = sum(count * 2**k for k, count in histogram.items())
         check = 0
         for lower, upper in balanced_comparable_pairs(8, poset):
-            check += len(interval(lower, upper, poset=poset))
+            check += len(interval(lower, upper))
         assert total_elements == check
 
 
@@ -145,6 +148,26 @@ class TestIntervalCounts:
     def test_four_node_dimension_polynomial(self):
         refined = count_maximal_balanced_intervals(4, by_dimension=True)
         assert refined == Polynomial({Monomial({"xi": 1}): 3}, markers=("xi",))
+
+    def test_route_disagreement_raises_under_optimize(self):
+        script = "\n".join(
+            [
+                "from tamari_balance import intervals",
+                "from tamari_balance.polynomials import Polynomial",
+                "intervals._specialized_series = lambda name, degree: Polynomial()",
+                "try:",
+                "    intervals.count_balanced_intervals(4)",
+                "except AssertionError as exc:",
+                "    print(exc)",
+                "else:",
+                "    raise SystemExit('no error raised')",
+            ]
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert "routes disagree at n=4" in result.stdout
 
 
 class TestUnbalancingPersistence:
@@ -199,15 +222,14 @@ class TestBalancedSubposet:
             assert len(heights) == 1
 
     def test_component_intervals_are_connected_orderwise(self):
-        poset = tamari_poset(7)
         sub = balanced_subposet(7)
         (largest, edge_count), *rest = sub.components()
         assert len(largest) == 16
         assert edge_count == 24
         for lower in largest:
             for upper in largest:
-                if tamari_leq(lower, upper, poset=poset):
-                    k, ok = verify_hypercube(lower, upper, poset)
+                if tamari_leq(lower, upper):
+                    k, ok = verify_hypercube(lower, upper)
                     assert ok
 
     def test_dot_output_is_stable(self):

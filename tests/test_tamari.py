@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,15 +161,16 @@ def test_interval_three_nodes():
 
 def test_interval_agrees_with_poset_route():
     poset = tamari_poset(5)
-    for t0 in all_trees(5)[::3]:
-        for t1 in all_trees(5)[::4]:
-            try:
-                plain = interval(t0, t1)
-            except IncomparableError:
+    elements = poset.elements
+    for i in range(0, len(elements), 3):
+        for j in range(0, len(elements), 4):
+            members = poset.interval_indices(i, j)
+            if not members:
                 with pytest.raises(IncomparableError):
-                    interval(t0, t1, poset=poset)
+                    interval(elements[i], elements[j])
                 continue
-            assert interval(t0, t1, poset=poset) == plain
+            expected = sorted((elements[k] for k in members), key=serialize)
+            assert interval(elements[i], elements[j]) == tuple(expected)
 
 
 def test_poset_three_nodes_has_five_cover_edges():
@@ -194,8 +197,8 @@ def test_poset_sizes_and_masks():
     top = poset.index(parse("(.(.(.(..))))"))
     assert poset.up_mask(bottom).bit_count() == 14
     assert poset.down_mask(top).bit_count() == 14
-    assert poset.leq_index(bottom, top)
-    assert not poset.leq_index(top, bottom)
+    assert poset.up_mask(bottom) >> top & 1
+    assert not poset.up_mask(top) >> bottom & 1
     assert sorted(poset.interval_indices(bottom, top)) == list(range(14))
 
 
@@ -214,10 +217,21 @@ def test_poset_index_rejects_other_sizes():
 
 
 def test_leq_with_poset_matches_plain():
-    poset = tamari_poset(4)
-    for t0 in all_trees(4):
-        for t1 in all_trees(4):
-            assert tamari_leq(t0, t1, poset=poset) == tamari_leq(t0, t1)
+    for n in range(8):
+        poset = tamari_poset(n)
+        for i, t0 in enumerate(poset.elements):
+            up = poset.up_mask(i)
+            for j, t1 in enumerate(poset.elements):
+                assert tamari_leq(t0, t1) == bool(up >> j & 1)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_comparable_pairs_match_chapoton_count(n):
+    trees = all_trees(n)
+    pairs = sum(tamari_leq(t0, t1) for t0 in trees for t1 in trees)
+    assert pairs == 2 * factorial(4 * n + 1) // (
+        factorial(n + 1) * factorial(3 * n + 2)
+    )
 
 
 def test_dot_output_is_deterministic_and_complete():
