@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
+from .families import ImbalanceSet, _family_level, imbalance_family
 from .tamari import RotationError
-from .trees import LEAF, BinaryTree, all_trees, iter_subtrees, node, subtree_at
+from .trees import BinaryTree, iter_subtrees, serialize, subtree_at
 
 
 def is_balanced(t: BinaryTree) -> bool:
@@ -42,21 +42,24 @@ def is_balanced(t: BinaryTree) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+_BALANCED = ImbalanceSet.of(-1, 0, 1)
+
+
 def balanced_trees(n: int) -> tuple[BinaryTree, ...]:
-    """All balanced trees with ``n`` nodes, in enumeration order."""
-    return tuple(t for t in all_trees(n) if is_balanced(t))
+    """All balanced trees with ``n`` nodes, sorted by tree string: the
+    ``{-1, 0, 1}`` imbalance family, so ``n`` is bounded by its cap."""
+    return imbalance_family(n, _BALANCED)
 
 
 _MAX_HEIGHT_ENUM = 5
 
 
-@lru_cache(maxsize=None)
 def balanced_trees_of_height(h: int) -> tuple[BinaryTree, ...]:
-    """All balanced trees of height exactly ``h``.
+    """All balanced trees of height exactly ``h``, sorted by tree string.
 
-    The counts grow doubly exponentially (1, 1, 3, 15, 315, 108675, ...)
-    so heights above 5 are refused.
+    They are the ``{-1, 0, 1}`` family levels at height ``h`` over the
+    sizes ``h .. 2**h - 1``.  The counts grow doubly exponentially
+    (1, 1, 3, 15, 315, 108675, ...) so heights above 5 are refused.
     """
     if h < 0:
         raise ValueError("height must be nonnegative")
@@ -64,14 +67,8 @@ def balanced_trees_of_height(h: int) -> tuple[BinaryTree, ...]:
         raise ValueError(
             f"enumeration by height is limited to h <= {_MAX_HEIGHT_ENUM}"
         )
-    if h == 0:
-        return (LEAF,)
-    tall = balanced_trees_of_height(h - 1)
-    short = balanced_trees_of_height(h - 2) if h >= 2 else ()
-    out = [node(left, right) for left in tall for right in tall]
-    out.extend(node(left, right) for left in tall for right in short)
-    out.extend(node(left, right) for left in short for right in tall)
-    return tuple(out)
+    levels = (_family_level(n, h, _BALANCED) for n in range(h, 2**h))
+    return tuple(sorted((t for level in levels for t in level), key=serialize))
 
 
 class RotationKind(enum.Enum):
@@ -123,7 +120,8 @@ def classify_rotation(t: BinaryTree, rank: int) -> RotationClassification:
     if entry is None:
         return RotationClassification(RotationKind.OUTSIDE_TABLE, before, after)
     kind, table_after = entry
-    assert table_after == after
+    if table_after != after:
+        raise AssertionError(f"table disagrees at {before}: {table_after} vs {after}")
     return RotationClassification(kind, before, after)
 
 

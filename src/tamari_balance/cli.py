@@ -678,6 +678,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (GrammarError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        if args.json:
+            print(json.dumps({"verdict": "FAIL", "error": str(exc)}, indent=2))
+        else:
+            print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ imbalance values, decides which interval-shaped sets give families closed
 by interval in the rotation order, and covers the companion families:
 weight-balanced trees, trees with a fixed canopy, and trees with a fixed
 number of right children.
+
+This is the one generator of imbalance families: the (size, height)
+levels built here give every such family, the balanced trees of
+:mod:`~tamari_balance.balance` (by size and by height) included.
 """
 
 from __future__ import annotations
@@ -406,11 +410,14 @@ def canopy_class(u: str, n: int) -> CanopyClass:
     members = tuple(
         sorted((t for t in all_trees(n) if canopy(t) == u), key=serialize)
     )
-    assert members, "every orientation word labels at least one tree"
+    if not members:
+        raise AssertionError(f"no tree has canopy {u!r}")
     by_phi = sorted(members, key=phi)
     if len(by_phi) > 1:
-        assert phi(by_phi[0]) < phi(by_phi[1]), "least member is not unique"
-        assert phi(by_phi[-1]) > phi(by_phi[-2]), "greatest member is not unique"
+        if phi(by_phi[0]) >= phi(by_phi[1]):
+            raise AssertionError(f"least member of canopy {u!r} is not unique")
+        if phi(by_phi[-1]) <= phi(by_phi[-2]):
+            raise AssertionError(f"greatest member of canopy {u!r} is not unique")
     return CanopyClass(
         word=u, members=members, lower=by_phi[0], upper=by_phi[-1]
     )

@@ -146,9 +146,10 @@ def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
 def hypercube_histogram(n: int) -> dict[int, int]:
     """Dimension counts over all comparable balanced pairs at size ``n``."""
     histogram: dict[int, int] = {}
-    for upper in balanced_trees(n):
+    trees = balanced_trees(n)
+    for upper in trees:
         below = _below_checker(upper)
-        for lower in balanced_trees(n):
+        for lower in trees:
             if not below(lower):
                 continue
             k = len(rotation_root_set(lower, upper).ranks)
@@ -186,9 +187,10 @@ def count_balanced_intervals(n: int) -> int:
     count is returned.
     """
     brute = 0
-    for upper in balanced_trees(n):
+    trees = balanced_trees(n)
+    for upper in trees:
         below = _below_checker(upper)
-        brute += sum(1 for lower in balanced_trees(n) if below(lower))
+        brute += sum(1 for lower in trees if below(lower))
     via_grammar = _specialized_series("bi", n + 1).coefficient({"x": n + 1})
     if brute != via_grammar:
         raise AssertionError(
@@ -198,16 +200,9 @@ def count_balanced_intervals(n: int) -> int:
 
 
 def _maximal_interval_pairs(n: int) -> list[tuple[BinaryTree, BinaryTree]]:
-    lowers = [
-        t
-        for t in balanced_trees(n)
-        if BalanceFlag.MINIMAL_LEFT in classify_balanced(t)
-    ]
-    uppers = [
-        t
-        for t in balanced_trees(n)
-        if BalanceFlag.MAXIMAL_RIGHT in classify_balanced(t)
-    ]
+    flags = [(t, classify_balanced(t)) for t in balanced_trees(n)]
+    lowers = [t for t, flag in flags if BalanceFlag.MINIMAL_LEFT in flag]
+    uppers = [t for t, flag in flags if BalanceFlag.MAXIMAL_RIGHT in flag]
     pairs = []
     for upper in uppers:
         below = _below_checker(upper)

@@ -6,6 +6,7 @@ from conftest import small_trees
 from tamari_balance.balance import (
     RotationKind,
     balanced_trees,
+    balanced_trees_of_height,
     classify_rotation,
     find_witness,
     has_imbalance_invariant,
@@ -48,7 +49,18 @@ def test_is_balanced_examples():
 
 
 def test_balanced_counts_match_reference():
-    assert [len(balanced_trees(n)) for n in range(11)] == BALANCED_COUNTS[:11]
+    assert [len(balanced_trees(n)) for n in range(20)] == BALANCED_COUNTS
+
+
+def test_balanced_counts_by_height():
+    counts = [1, 1]
+    while len(counts) < 6:
+        counts.append(counts[-1] ** 2 + 2 * counts[-1] * counts[-2])
+    assert counts == [1, 1, 3, 15, 315, 108675]
+    for h, expected in enumerate(counts):
+        trees = balanced_trees_of_height(h)
+        assert len(trees) == len(set(trees)) == expected
+        assert all(t.height == h and is_balanced(t) for t in trees)
 
 
 def test_classification_against_measured_imbalances():

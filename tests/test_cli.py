@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from tamari_balance import fixtures
+from tamari_balance import fixtures, intervals
 from tamari_balance.cli import SequenceReport, main, run_enum
+from tamari_balance.polynomials import Polynomial
 
 
 def run(capsys, *argv):
@@ -116,6 +117,21 @@ class TestEnum:
         code, _, err = run(capsys, "enum", "balanced", "--max-n", "20")
         assert code == 2
         assert "no reference values" in err
+
+    def test_route_disagreement_is_a_fail(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            intervals, "_specialized_series", lambda name, degree: Polynomial()
+        )
+        code, out, err = run(capsys, "enum", "balanced-intervals", "--max-n", "3")
+        assert code == 1
+        assert out == ""
+        assert err == "FAIL: balanced interval routes disagree at n=3: 1 vs 0\n"
+        code, payload = run_json(capsys, "enum", "balanced-intervals", "--max-n", "3")
+        assert code == 1
+        assert payload == {
+            "verdict": "FAIL",
+            "error": "balanced interval routes disagree at n=3: 1 vs 0",
+        }
 
     def test_run_enum_defaults(self):
         report = run_enum("interior-by-height")
@@ -285,11 +301,12 @@ class TestHasse:
         assert sum(1 for l in lines if "->" in l) == 5
 
     def test_balanced_seven_structure(self, capsys):
-        code, payload = run_json(capsys, "hasse", "balanced", "7")
-        assert code == 0
-        assert payload["nodes"] == 17
-        assert payload["edges"] == 24
-        assert payload["dot"].startswith("digraph balanced_7 {")
+        for n, nodes, edges in ((7, 17, 24), (15, 1553, 4072)):
+            code, payload = run_json(capsys, "hasse", "balanced", str(n))
+            assert code == 0
+            assert payload["nodes"] == nodes
+            assert payload["edges"] == edges
+            assert payload["dot"].startswith(f"digraph balanced_{n} {{")
 
     def test_single_node_interval(self, capsys):
         code, out, err = run(capsys, "hasse", "interval", "(..)", "(..)")

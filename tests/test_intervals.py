@@ -152,15 +152,23 @@ class TestIntervalCounts:
     def test_route_disagreement_raises_under_optimize(self):
         script = "\n".join(
             [
-                "from tamari_balance import intervals",
+                "from tamari_balance import balance, intervals",
                 "from tamari_balance.polynomials import Polynomial",
+                "from tamari_balance.trees import parse",
                 "intervals._specialized_series = lambda name, degree: Polynomial()",
-                "try:",
-                "    intervals.count_balanced_intervals(4)",
-                "except AssertionError as exc:",
-                "    print(exc)",
-                "else:",
-                "    raise SystemExit('no error raised')",
+                "balance._ROTATION_TABLE[(0, 0)] = (",
+                "    balance.RotationKind.SIMPLY_UNBALANCING, (9, 9)",
+                ")",
+                "for check in (",
+                "    lambda: intervals.count_balanced_intervals(4),",
+                "    lambda: balance.classify_rotation(parse('((..)(..))'), 2),",
+                "):",
+                "    try:",
+                "        check()",
+                "    except AssertionError as exc:",
+                "        print(exc)",
+                "    else:",
+                "        raise SystemExit('no error raised')",
             ]
         )
         result = subprocess.run(
@@ -168,6 +176,7 @@ class TestIntervalCounts:
         )
         assert result.returncode == 0, result.stderr
         assert "routes disagree at n=4" in result.stdout
+        assert "table disagrees at (0, 0): (9, 9) vs (2, 1)" in result.stdout
 
 
 class TestUnbalancingPersistence:
