@@ -17,7 +17,10 @@ Four subcommands:
     a single interval) in DOT format.
 
 Every command accepts ``--json`` for scripting.  Exit codes: 0 for
-success or PASS, 1 for a mismatch or FAIL, 2 for usage errors.
+success or PASS, 1 for a mismatch or FAIL, 2 for usage errors.  A FAIL
+is a failed sweep, a reference mismatch, or a :class:`CrossCheckError`
+between two counting routes; any other exception is a bug and escapes
+as a traceback.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .families import (
 )
 from .grammars import GrammarError, builtin_grammar, builtin_names, parse_grammar, series
 from .intervals import (
+    CrossCheckError,
     balanced_subposet,
     count_balanced_intervals,
     count_maximal_balanced_intervals,
@@ -58,7 +62,7 @@ from .tamari import (
     tamari_leq,
     tamari_poset,
 )
-from .trees import parse, serialize
+from .trees import TreeParseError, parse, serialize
 
 
 class UsageError(ValueError):
@@ -129,8 +133,10 @@ def _balanced_counts(max_n: int) -> tuple[int, ...]:
         if n <= _ENUM_CROSS_CHECK_MAX:
             enumerated = len(balanced_trees(n))
             if enumerated != count:
-                raise AssertionError(
-                    f"balanced routes disagree at n={n}: {enumerated} vs {count}"
+                raise CrossCheckError(
+                    f"balanced routes disagree at n={n}",
+                    ("enumeration", "series"),
+                    (enumerated, count),
                 )
         out.append(count)
     return tuple(out)
@@ -148,8 +154,10 @@ def _maximal_balanced_counts(max_n: int) -> tuple[int, ...]:
                 if BalanceFlag.MAXIMAL_RIGHT in classify_balanced(t)
             )
             if brute != count:
-                raise AssertionError(
-                    f"maximal routes disagree at n={n}: {brute} vs {count}"
+                raise CrossCheckError(
+                    f"maximal routes disagree at n={n}",
+                    ("brute", "series"),
+                    (brute, count),
                 )
         out.append(count)
     return tuple(out)
@@ -304,6 +312,8 @@ def cmd_series(args: argparse.Namespace) -> int:
         grammar = parse_grammar(text)
         source = args.file
     assignments = _parse_assignments(args.set)
+    if args.degree < 0:
+        raise UsageError("max_degree must be nonnegative")
     poly = series(grammar, args.degree)
     if assignments:
         poly = poly.specialize(assignments)
@@ -487,7 +497,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.property == "closure-vbalanced":
         if args.v is None:
             raise UsageError("closure-vbalanced needs --v, an imbalance set")
-        ImbalanceSet.parse(args.v)
+        try:
+            ImbalanceSet.parse(args.v)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         code, _ = _check_closure(args, args.v)
         return code
     if args.v is not None:
@@ -524,8 +537,11 @@ def _hasse_graph(args: argparse.Namespace) -> tuple[str, int, int]:
             )
         subposet = balanced_subposet(args.n)
         return subposet.to_dot(), len(subposet.trees), len(subposet.edges)
-    lower = parse(args.lower)
-    upper = parse(args.upper)
+    try:
+        lower = parse(args.lower)
+        upper = parse(args.upper)
+    except TreeParseError as exc:
+        raise UsageError(str(exc)) from None
     if lower.node_count != upper.node_count:
         raise UsageError(
             f"interval endpoints need equal sizes, got "
@@ -672,15 +688,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, GrammarError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GrammarError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except AssertionError as exc:
+    except CrossCheckError as exc:
         if args.json:
-            print(json.dumps({"verdict": "FAIL", "error": str(exc)}, indent=2))
+            routes = {
+                route: value if isinstance(value, int) else str(value)
+                for route, value in zip(exc.routes, exc.values)
+            }
+            print(
+                json.dumps(
+                    {"verdict": "FAIL", "error": str(exc), "routes": routes},
+                    indent=2,
+                )
+            )
         else:
             print(f"FAIL: {exc}", file=sys.stderr)
         return 1

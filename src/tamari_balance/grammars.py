@@ -7,6 +7,7 @@ in exactly ``k`` steps gives the k-th iterate of the grammar's
 substitution polynomials.  When the grammar carries a strictness
 certificate, iterating the substitution with truncation computes the
 generating series of the produced tree family up to any degree.
+:func:`series` and :func:`iterates` share one engine on exponent tuples.
 
 Rules may tag internal nodes with integer labels and a marked flag, and
 may attach a marker variable that multiplies into the series without
@@ -15,11 +16,13 @@ counting toward truncation degrees.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Union
+from operator import add
+from typing import Iterable, Iterator, Union
 
 from .polynomials import Monomial, Polynomial
 
@@ -287,19 +290,106 @@ def check_unambiguous(g: SynchronousGrammar) -> bool:
     return True
 
 
-def _merge_assignment(g: SynchronousGrammar) -> dict[str, Polynomial] | None:
-    if not g.merges:
-        return None
+def _exponent_key(
+    mono: Monomial, index: dict[str, int], width: int, counting: int
+) -> tuple[int, ...]:
+    key = [0] * (width + 1)
+    for var, exp in mono.pairs:
+        key[index[var] + 1] = exp
+    key[0] = sum(key[1 : counting + 1])
+    return tuple(key)
+
+
+def _multiply_into(
+    out: dict[tuple[int, ...], int],
+    left: Iterable[tuple[tuple[int, ...], int]],
+    right: list[tuple[tuple[int, ...], int]],
+    cut: float,
+) -> None:
+    """Add ``left * right`` into ``out``, skipping terms above degree ``cut``.
+
+    Keys carry their degree first, so adding keys entry by entry
+    multiplies the monomials; ``right`` is sorted by degree.
+    """
+    for k0, c0 in left:
+        room = cut - k0[0]
+        for k1, c1 in right:
+            if k1[0] > room:
+                break
+            key = tuple(map(add, k0, k1))
+            out[key] = out.get(key, 0) + c0 * c1
+
+
+def _substitution_iterates(
+    g: SynchronousGrammar, cut: float
+) -> Iterator[dict[tuple[int, ...], int]]:
+    """The iterates ``S^(0), S^(1), ...`` as exponent-tuple dicts.
+
+    A term's key is ``(d, e_1, .., e_w)`` with ``e`` its exponents over
+    the buds then the markers of ``g`` and ``d`` its counting degree (the
+    bud exponents' sum).  Each iterate is the previous one with every
+    variable replaced by sigma(v): the rule-evaluation sum for a bud, the
+    variable itself for a marker.  Terms of degree above ``cut`` are
+    dropped inside every multiply, which is exact: no factor has negative
+    degree, so a dropped partial product has no completion within
+    ``cut``.  ``sigma(v)^k`` is built once per variable and power.
+    """
+    order = (*g.buds, *g.markers)
+    width = len(order)
+    counting = len(g.buds)
+    index = {var: i for i, var in enumerate(order)}
+    unit = [((0,) * (width + 1), 1)]
+    powers = []
+    for var in order:
+        if var in g.buds:
+            sigma = substitution_polynomial(g, var)
+        else:
+            sigma = Polynomial.variable(var, g.markers)
+        terms = {_exponent_key(m, index, width, counting): c for m, c in sigma.items()}
+        powers.append([unit, sorted(terms.items())])
+
+    def power(i: int, exp: int) -> list[tuple[tuple[int, ...], int]]:
+        table = powers[i]
+        while len(table) <= exp:
+            nxt: dict[tuple[int, ...], int] = {}
+            _multiply_into(nxt, table[-1], table[1], cut)
+            table.append(sorted(nxt.items()))
+        return table[exp]
+
+    axiom = [0] * (width + 1)
+    axiom[0] = axiom[index[g.axiom] + 1] = 1
+    current = {tuple(axiom): 1} if cut >= 1 else {}
+    while True:
+        yield current
+        nxt: dict[tuple[int, ...], int] = {}
+        for key, coeff in current.items():
+            *inner, last = [
+                power(i, exp) for i, exp in enumerate(key[1:]) if exp
+            ] or [unit]
+            partial: Iterable[tuple[tuple[int, ...], int]] = ((unit[0][0], coeff),)
+            for factor in inner:
+                step: dict[tuple[int, ...], int] = {}
+                _multiply_into(step, partial, factor, cut)
+                partial = step.items()
+            _multiply_into(nxt, partial, last, cut)
+        current = nxt
+
+
+def _to_polynomial(
+    g: SynchronousGrammar, terms: dict[tuple[int, ...], int]
+) -> Polynomial:
+    """Exponent-tuple terms as a :class:`Polynomial`, merges applied."""
     renames = dict(g.merges)
-    assignment: dict[str, Polynomial] = {}
-    for var in (*g.buds, *g.markers):
-        assignment[var] = Polynomial.variable(renames.get(var, var), g.markers)
-    return assignment
-
-
-def _present(g: SynchronousGrammar, p: Polynomial) -> Polynomial:
-    assignment = _merge_assignment(g)
-    return p if assignment is None else p.substitute(assignment)
+    names = [renames.get(var, var) for var in (*g.buds, *g.markers)]
+    out: dict[Monomial, int] = {}
+    for key, coeff in terms.items():
+        exps: dict[str, int] = {}
+        for name, exp in zip(names, key[1:]):
+            if exp:
+                exps[name] = exps.get(name, 0) + exp
+        mono = Monomial(exps)
+        out[mono] = out.get(mono, 0) + coeff
+    return Polynomial._from_terms(out, g.markers)
 
 
 def iterates(g: SynchronousGrammar, count: int) -> list[Polynomial]:
@@ -307,21 +397,13 @@ def iterates(g: SynchronousGrammar, count: int) -> list[Polynomial]:
 
     ``S^(0)`` is the axiom variable and each step substitutes every bud
     by its rule-evaluation sum.  Presentation renames are applied to the
-    returned polynomials.
+    returned polynomials.  Runs the engine of :func:`series` with no
+    degree cut.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    subs: dict[str, Polynomial | int] = {
-        b: substitution_polynomial(g, b) for b in g.buds
-    }
-    for m in g.markers:
-        subs[m] = Polynomial.variable(m, g.markers)
-    current = Polynomial.variable(g.axiom, g.markers)
-    out = [current]
-    for _ in range(count):
-        current = current.substitute(subs)
-        out.append(current)
-    return [_present(g, p) for p in out]
+    steps = _substitution_iterates(g, math.inf)
+    return [_to_polynomial(g, next(steps)) for _ in range(count + 1)]
 
 
 def iterate_sum(g: SynchronousGrammar, count: int) -> Polynomial:
@@ -335,27 +417,25 @@ def iterate_sum(g: SynchronousGrammar, count: int) -> Polynomial:
 def series(g: SynchronousGrammar, max_degree: int) -> Polynomial:
     """Generating series of the grammar, truncated at ``max_degree``.
 
-    Sums truncated substitution iterates until one vanishes.  Requires a
-    strictness certificate: without it the iteration need not terminate,
-    and :class:`CertificateError` is raised up front.
+    Sums the substitution iterates, each truncated at ``max_degree``,
+    until one vanishes.  The iterates live in dicts keyed by exponent
+    tuples, every multiply drops the terms above ``max_degree`` as it
+    goes, and the sum becomes a :class:`Polynomial` once, with the
+    presentation renames applied.  Requires a strictness certificate:
+    without it the iteration need not terminate, and
+    :class:`CertificateError` is raised up front.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     if not check_strict(g):
         raise CertificateError("grammar carries no strictness certificate")
-    subs: dict[str, Polynomial | int] = {
-        b: substitution_polynomial(g, b) for b in g.buds
-    }
-    for m in g.markers:
-        subs[m] = Polynomial.variable(m, g.markers)
-    current = Polynomial.variable(g.axiom, g.markers).truncate(max_degree)
-    total = Polynomial.zero(g.markers)
+    total: dict[tuple[int, ...], int] = {}
     limit = (max_degree + 2) * (len(g.buds) + 1)
-    for _ in range(limit):
-        if current.is_zero:
-            return _present(g, total)
-        total = total + current
-        current = current.substitute(subs).truncate(max_degree)
+    for _, current in zip(range(limit), _substitution_iterates(g, max_degree)):
+        if not current:
+            return _to_polynomial(g, total)
+        for key, coeff in current.items():
+            total[key] = total.get(key, 0) + coeff
     raise AssertionError("certified series iteration failed to terminate")
 
 

@@ -32,6 +32,19 @@ from .tamari import (
 from .trees import BinaryTree, child_ranks, serialize
 
 
+class CrossCheckError(AssertionError):
+    """Two independent routes to one count disagree.
+
+    ``routes`` names the two routes and ``values`` holds what each gave,
+    in the same order.  Raised explicitly, so it holds under ``python -O``.
+    """
+
+    def __init__(self, what: str, routes: tuple[str, str], values: tuple):
+        super().__init__(f"{what}: {values[0]} vs {values[1]}")
+        self.routes = routes
+        self.values = values
+
+
 @dataclass(frozen=True)
 class RotationRootSet:
     """Lower endpoint plus the ranks of the rotations reaching the upper."""
@@ -193,8 +206,10 @@ def count_balanced_intervals(n: int) -> int:
         brute += sum(1 for lower in trees if below(lower))
     via_grammar = _specialized_series("bi", n + 1).coefficient({"x": n + 1})
     if brute != via_grammar:
-        raise AssertionError(
-            f"balanced interval routes disagree at n={n}: {brute} vs {via_grammar}"
+        raise CrossCheckError(
+            f"balanced interval routes disagree at n={n}",
+            ("brute", "series"),
+            (brute, via_grammar),
         )
     return brute
 
@@ -226,8 +241,10 @@ def count_maximal_balanced_intervals(
         brute = len(pairs)
         via_grammar = _specialized_series("mbi", n + 1).coefficient({"x": n + 1})
         if brute != via_grammar:
-            raise AssertionError(
-                f"maximal interval routes disagree at n={n}: {brute} vs {via_grammar}"
+            raise CrossCheckError(
+                f"maximal interval routes disagree at n={n}",
+                ("brute", "series"),
+                (brute, via_grammar),
             )
         return brute
     counts: dict[int, int] = {}
@@ -248,9 +265,10 @@ def count_maximal_balanced_intervals(
         markers=("xi",),
     )
     if brute_poly != via_grammar:
-        raise AssertionError(
-            f"refined maximal interval routes disagree at n={n}: "
-            f"{brute_poly} vs {via_grammar}"
+        raise CrossCheckError(
+            f"refined maximal interval routes disagree at n={n}",
+            ("brute", "series"),
+            (brute_poly, via_grammar),
         )
     return brute_poly
 

@@ -7,6 +7,11 @@ combinatorial features, not sizes) and never count toward the degree cut.
 Monomials store only positive exponents; polynomials store only nonzero
 coefficients.  Display order is graded lexicographic, grading first by
 counting degree so that series read off small objects first.
+
+The public constructor checks its terms.  Arithmetic results, and the
+grammar series (computed on exponent tuples in :mod:`.grammars`, not by
+:meth:`Polynomial.substitute`), are wrapped once by the trusted
+``Polynomial._from_terms``, which skips those checks.
 """
 
 from __future__ import annotations
@@ -98,6 +103,20 @@ class Polynomial:
         self.markers = frozenset(markers)
 
     @classmethod
+    def _from_terms(
+        cls, terms: dict[Monomial, int], markers: Iterable[str] = ()
+    ) -> "Polynomial":
+        """Adopt ``terms`` as is: no copy and no checks.
+
+        For callers that built ``terms`` themselves, keyed by
+        :class:`Monomial` with nonzero ``int`` coefficients.
+        """
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        poly.markers = frozenset(markers)
+        return poly
+
+    @classmethod
     def zero(cls, markers: Iterable[str] = ()) -> "Polynomial":
         return cls((), markers)
 
@@ -141,8 +160,8 @@ class Polynomial:
             return None
         return max(self.counting_degree(m) for m in self._terms)
 
-    def _wrap(self, terms) -> "Polynomial":
-        return Polynomial(terms, self.markers)
+    def _wrap(self, terms: dict[Monomial, int]) -> "Polynomial":
+        return Polynomial._from_terms(terms, self.markers)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -163,7 +182,7 @@ class Polynomial:
                 merged[mono] = new
             else:
                 merged.pop(mono, None)
-        return Polynomial(merged, self.markers | other.markers)
+        return Polynomial._from_terms(merged, self.markers | other.markers)
 
     __radd__ = __add__
 
@@ -180,6 +199,8 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial | int") -> "Polynomial":
         if isinstance(other, int):
+            if not other:
+                return self._wrap({})
             return self._wrap({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -192,7 +213,7 @@ class Polynomial:
                     product[mono] = new
                 else:
                     product.pop(mono, None)
-        return Polynomial(product, self.markers | other.markers)
+        return Polynomial._from_terms(product, self.markers | other.markers)
 
     __rmul__ = __mul__
 
@@ -240,13 +261,21 @@ class Polynomial:
             )
             for var, val in assignment.items()
         }
-        total = Polynomial.zero(self.markers)
+        markers = self.markers
+        for var in self.variables():
+            markers |= values[var].markers
+        total: dict[Monomial, int] = {}
         for mono, coeff in self._terms.items():
             term = Polynomial.constant(coeff, self.markers)
             for var, exp in mono.pairs:
                 term = term * values[var] ** exp
-            total = total + term
-        return total
+            for m, c in term._terms.items():
+                new = total.get(m, 0) + c
+                if new:
+                    total[m] = new
+                else:
+                    del total[m]
+        return Polynomial._from_terms(total, markers)
 
     def specialize(self, values: Mapping[str, int]) -> "Polynomial":
         """Assign integers to some variables, keeping the others."""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from tamari_balance import fixtures, intervals
+from tamari_balance import cli, fixtures, intervals
 from tamari_balance.cli import SequenceReport, main, run_enum
 from tamari_balance.polynomials import Polynomial
 
@@ -131,7 +131,27 @@ class TestEnum:
         assert payload == {
             "verdict": "FAIL",
             "error": "balanced interval routes disagree at n=3: 1 vs 0",
+            "routes": {"brute": 1, "series": 0},
         }
+
+    def test_plain_assertion_is_not_a_fail(self, capsys, monkeypatch):
+        def broken(args):
+            raise AssertionError("a bug, not a route disagreement")
+
+        monkeypatch.setattr(cli, "cmd_enum", broken)
+        for extra in ((), ("--json",)):
+            with pytest.raises(AssertionError, match="a bug"):
+                main(["enum", "balanced", "--max-n", "3", *extra])
+            assert capsys.readouterr().out == ""
+
+    def test_full_maximal_balanced_range(self, capsys):
+        code, payload = run_json(
+            capsys, "enum", "maximal-balanced", "--max-n", "34"
+        )
+        assert code == 0
+        computed = [row["computed"] for row in payload["rows"]]
+        assert computed == fixtures.MAXIMAL_BALANCED_COUNTS
+        assert len(computed) == 35
 
     def test_run_enum_defaults(self):
         report = run_enum("interior-by-height")
@@ -176,6 +196,41 @@ class TestSeries:
             (("x", 12), ("xi", 3)): 2,
             (("x", 12), ("xi", 4)): 1,
         }
+
+    def test_refined_series_reproduces_every_dimension_row(self, capsys):
+        code, payload = run_json(
+            capsys,
+            "series", "--builtin", "mbi_xi", "--degree", "14",
+            "--set", "y=0", "z=0", "t=0",
+        )
+        assert code == 0
+        rows: dict[int, dict[int, int]] = {}
+        for term in payload["terms"]:
+            mono = dict(term["monomial"])
+            xi = mono.pop("xi", 0)
+            assert set(mono) == {"x"}
+            rows.setdefault(mono["x"], {})[xi] = term["coefficient"]
+        assert sorted(rows) == list(range(1, 15))
+        assert rows == {
+            leaves: dims
+            for leaves, dims in fixtures.MAXIMAL_INTERVAL_DIMENSIONS.items()
+            if leaves <= 14
+        }
+
+    def test_negative_degree_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "series", "--builtin", "perf", "--degree", "-1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: max_degree must be nonnegative\n"
+
+    def test_library_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "cmd_series", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["series", "--builtin", "perf", "--degree", "3"])
+        assert capsys.readouterr().err == ""
 
     def test_grammar_file(self, capsys, tmp_path):
         path = tmp_path / "doubling.grammar"
@@ -284,6 +339,11 @@ class TestCheck:
             capsys, "check", "closure-vbalanced", "--v=1..", "--max-n", "5"
         )
         assert code == 2
+        code, _, err = run(
+            capsys, "check", "closure-vbalanced", "--v=a,b", "--max-n", "5"
+        )
+        assert code == 2
+        assert err == "error: cannot read imbalance set from 'a,b'\n"
 
     def test_max_n_capped(self, capsys):
         code, _, err = run(capsys, "check", "closure-balanced", "--max-n", "13")
@@ -347,6 +407,7 @@ class TestHasse:
     def test_bad_tree_string(self, capsys):
         code, _, err = run(capsys, "hasse", "interval", "((..)", "((..).)")
         assert code == 2
+        assert err == "error: unclosed '(' (offset 5)\n"
 
     def test_tamari_capped(self, capsys):
         code, _, err = run(capsys, "hasse", "tamari", "11")

@@ -1,6 +1,8 @@
 """Tests for the synchronous grammar engine."""
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from tamari_balance.grammars import (
     Bud,
@@ -501,6 +503,132 @@ class TestSeries:
     def test_degree_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             series(builtin_grammar("perf"), -1)
+
+
+def _reference_present(g, p):
+    if not g.merges:
+        return p
+    renames = dict(g.merges)
+    return p.substitute(
+        {
+            var: Polynomial.variable(renames.get(var, var), g.markers)
+            for var in (*g.buds, *g.markers)
+        }
+    )
+
+
+def _reference_substitution(g):
+    subs = {b: substitution_polynomial(g, b) for b in g.buds}
+    for m in g.markers:
+        subs[m] = Polynomial.variable(m, g.markers)
+    return subs
+
+
+def _reference_series(g, max_degree):
+    """The series loop on :class:`Polynomial`: substitute every variable
+    of the last iterate, truncate, add, until an iterate vanishes."""
+    subs = _reference_substitution(g)
+    current = Polynomial.variable(g.axiom, g.markers).truncate(max_degree)
+    total = Polynomial.zero(g.markers)
+    while not current.is_zero:
+        total = total + current
+        current = current.substitute(subs).truncate(max_degree)
+    return _reference_present(g, total)
+
+
+def _reference_iterates(g, count):
+    subs = _reference_substitution(g)
+    current = Polynomial.variable(g.axiom, g.markers)
+    out = [current]
+    for _ in range(count):
+        current = current.substitute(subs)
+        out.append(current)
+    return [_reference_present(g, p) for p in out]
+
+
+def _same(p, q):
+    """Equal terms, marker sets and display (which orders by markers)."""
+    return p == q and p.markers == q.markers and str(p) == str(q)
+
+
+@st.composite
+def _bud_tree_text(draw, buds, depth):
+    children = []
+    for _ in range(draw(st.integers(1, 2))):
+        if depth and draw(st.booleans()):
+            children.append(draw(_bud_tree_text(buds, depth - 1)))
+        else:
+            children.append(f"<{draw(st.sampled_from(buds))}>")
+    head = draw(st.sampled_from(["", "0 ", "-1 ", "1* ", "* "]))
+    return "[" + head + " ".join(children) + "]"
+
+
+@st.composite
+def strict_grammars(draw):
+    """Grammar files with 1-3 buds, optional markers and merges, whose
+    rules pass the strictness certificate."""
+    buds = ("x", "y", "z")[: draw(st.integers(1, 3))]
+    markers = draw(st.sampled_from([(), ("m",), ("m", "n")]))
+    lines = [f"buds: {' '.join(buds)}", f"axiom: {draw(st.sampled_from(buds))}"]
+    if markers:
+        lines.append(f"markers: {' '.join(markers)}")
+    merged = draw(st.lists(st.sampled_from(buds), unique=True, max_size=2))
+    target = draw(st.sampled_from(["t", *markers]))
+    lines += [f"merge: {bud} {target}" for bud in merged]
+    for i, bud in enumerate(buds):
+        alts = []
+        for _ in range(draw(st.integers(1, 3))):
+            later = buds[i + 1 :]
+            if later and draw(st.booleans()):
+                alt = f"<{draw(st.sampled_from(later))}>"
+            else:
+                alt = draw(_bud_tree_text(buds, 1))
+            if markers and draw(st.booleans()):
+                alt += f" @{draw(st.sampled_from(markers))}"
+            alts.append(alt)
+        lines.append(f"{bud} -> " + " | ".join(alts))
+    g = parse_grammar("\n".join(lines) + "\n")
+    assume(check_strict(g))
+    return g
+
+
+class TestEngineAgainstReference:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_series(self, name):
+        g = builtin_grammar(name)
+        for degree in range(10):
+            assert _same(series(g, degree), _reference_series(g, degree)), degree
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_iterates(self, name):
+        g = builtin_grammar(name)
+        for got, want in zip(iterates(g, 3), _reference_iterates(g, 3)):
+            assert _same(got, want)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(strict_grammars(), st.integers(0, 8))
+    def test_generated_series(self, g, degree):
+        assert _same(series(g, degree), _reference_series(g, degree))
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(strict_grammars())
+    def test_generated_iterates(self, g):
+        for got, want in zip(iterates(g, 3), _reference_iterates(g, 3)):
+            assert _same(got, want)
+
+    def test_iterates_keep_constant_terms(self):
+        g = parse_grammar("buds: x y\naxiom: x\nx -> [<x> <y>] | []\ny -> []\n")
+        assert not check_strict(g)
+        for got, want in zip(iterates(g, 3), _reference_iterates(g, 3)):
+            assert _same(got, want)
 
 
 class TestGrammarFiles:

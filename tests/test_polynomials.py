@@ -165,3 +165,87 @@ def test_display_groups_by_counting_degree_first():
     x = Polynomial.variable("x", markers=("xi",))
     p = x * xi**2 + x * x + x * xi
     assert str(p) == "x*xi + x*xi^2 + x^2"
+
+
+# sympy is a test-only oracle: these tests skip where it is missing.
+@pytest.fixture(scope="module")
+def sp():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sp, p):
+    return sp.Add(
+        *(
+            coeff * sp.Mul(*(sp.Symbol(var) ** exp for var, exp in mono.pairs))
+            for mono, coeff in p.items()
+        )
+    )
+
+
+def sympy_terms(sp, expr):
+    """``{Monomial: coefficient}`` of an expanded sympy polynomial."""
+    expr = sp.expand(expr)
+    gens = sorted(expr.free_symbols, key=str)
+    if not gens:
+        return {ONE: int(expr)} if expr != 0 else {}
+    return {
+        Monomial({str(g): e for g, e in zip(gens, exps) if e}): int(coeff)
+        for exps, coeff in sp.Poly(expr, *gens).terms()
+    }
+
+
+def from_sympy(sp, expr, markers=()):
+    return Polynomial(sympy_terms(sp, expr), markers)
+
+
+marker_sets = st.sampled_from(["", "z", "yz"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials, polynomials)
+def test_sum_and_product_match_sympy(sp, p, q):
+    assert p + q == from_sympy(sp, to_sympy(sp, p) + to_sympy(sp, q))
+    assert p * q == from_sympy(sp, to_sympy(sp, p) * to_sympy(sp, q))
+    assert p * 3 == from_sympy(sp, to_sympy(sp, p) * 3)
+    assert (p * 0).is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(polynomials, polynomials, polynomials, st.integers(-2, 2))
+def test_substitute_matches_sympy(sp, p, a, b, c):
+    x, y, z = sp.symbols("x y z")
+    want = to_sympy(sp, p).subs(
+        {x: to_sympy(sp, a), y: to_sympy(sp, b), z: c}, simultaneous=True
+    )
+    assert p.substitute({"x": a, "y": b, "z": c}) == from_sympy(sp, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials, st.integers(0, 6), marker_sets)
+def test_truncate_matches_sympy(sp, p, d, markers):
+    p = Polynomial(dict(p.items()), markers)
+    kept = {
+        mono: coeff
+        for mono, coeff in sympy_terms(sp, to_sympy(sp, p)).items()
+        if sum(e for v, e in mono.pairs if v not in markers) <= d
+    }
+    got = p.truncate(d)
+    assert got == Polynomial(kept)
+    assert got.markers == frozenset(markers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.dictionaries(
+        monomials, st.integers(-3, 3).filter(bool), max_size=5
+    ),
+    marker_sets,
+)
+def test_trusted_constructor_matches_sympy(sp, terms, markers):
+    trusted = Polynomial._from_terms(dict(terms), markers)
+    checked = Polynomial(terms, markers)
+    assert trusted == checked
+    assert trusted.markers == checked.markers
+    assert str(trusted) == str(checked)
+    expr = sp.Add(*(c * to_sympy(sp, Polynomial({m: 1})) for m, c in terms.items()))
+    assert dict(trusted.items()) == sympy_terms(sp, expr)
