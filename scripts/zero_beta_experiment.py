@@ -10,27 +10,20 @@ on small sizes, and prints it as an observation only.
 import argparse
 import json
 
-from tamari_balance.families import (
-    ImbalanceSet,
-    closure_check,
-    imbalance_family,
-    imbalances_within,
-)
-from tamari_balance.tamari import tamari_poset
+from tamari_balance.families import ImbalanceSet, closure_check, imbalance_family
+from tamari_balance.tamari import tamari_leq
 from tamari_balance.trees import serialize
 
 MAX_SWEEP = 12
 
 
-def comparable_pairs(members, poset):
-    indices = [poset.index(t) for t in members]
-    pairs = []
-    for i in indices:
-        up = poset.up_mask(i)
-        for j in indices:
-            if j != i and up >> j & 1:
-                pairs.append((poset.elements[i], poset.elements[j]))
-    return pairs
+def comparable_pairs(members):
+    return [
+        (lower, upper)
+        for lower in members
+        for upper in members
+        if upper != lower and tamari_leq(lower, upper)
+    ]
 
 
 def trial(beta: int, max_n: int) -> dict:
@@ -41,14 +34,11 @@ def trial(beta: int, max_n: int) -> dict:
     for n in range(max_n + 1):
         members = imbalance_family(n, allowed)
         sizes.append(len(members))
-        poset = tamari_poset(n)
-        for lower, upper in comparable_pairs(members, poset):
+        for lower, upper in comparable_pairs(members):
             comparable.append(
                 {"n": n, "lower": serialize(lower), "upper": serialize(upper)}
             )
-        found = closure_check(
-            lambda t: imbalances_within(t, allowed), n, poset=poset
-        )
+        found = closure_check(members)
         if found is not None:
             breaks.append(
                 {"n": n, "chain": [serialize(t) for t in found.chain]}

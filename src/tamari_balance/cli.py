@@ -34,13 +34,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import fixtures
-from .balance import balanced_trees, is_balanced
+from .balance import balanced_trees
 from .families import (
     ClosureCounterexample,
     ImbalanceSet,
     closure_check,
     imbalance_family,
-    imbalances_within,
     narayana_row,
     weight_balanced_count,
 )
@@ -313,7 +312,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         source = args.file
     assignments = _parse_assignments(args.set)
     if args.degree < 0:
-        raise UsageError("max_degree must be nonnegative")
+        raise UsageError(f"--degree must be nonnegative, got {args.degree}")
     poly = series(grammar, args.degree)
     if assignments:
         poly = poly.specialize(assignments)
@@ -350,15 +349,9 @@ def _counterexample_payload(found: ClosureCounterexample) -> dict:
     }
 
 
-def _closure_balanced_at(n: int) -> dict | None:
-    found = closure_check(is_balanced, n)
-    return None if found is None else _counterexample_payload(found)
-
-
-def _closure_family_at(task: tuple[int, str]) -> dict | None:
-    n, text = task
-    allowed = ImbalanceSet.parse(text)
-    found = closure_check(lambda t: imbalances_within(t, allowed), n)
+def _closure_at(task: tuple[int, ImbalanceSet]) -> dict | None:
+    n, allowed = task
+    found = closure_check(imbalance_family(n, allowed))
     return None if found is None else _counterexample_payload(found)
 
 
@@ -396,16 +389,13 @@ _CHECK_DEFAULT_MAX = {"closure-balanced": 11, "closure-vbalanced": 8, "hypercube
 _CHECK_MAX = 12
 
 
-def _check_closure(args: argparse.Namespace, text: str | None) -> tuple[int, dict]:
+def _check_closure(
+    args: argparse.Namespace, allowed: ImbalanceSet, family: str
+) -> tuple[int, dict]:
     sizes = list(range(args.max_n + 1))
-    if text is None:
-        family = "balanced"
-        outcomes = _run_over_sizes(_closure_balanced_at, sizes, args.jobs)
-    else:
-        family = str(ImbalanceSet.parse(text))
-        outcomes = _run_over_sizes(
-            _closure_family_at, [(n, text) for n in sizes], args.jobs
-        )
+    outcomes = _run_over_sizes(
+        _closure_at, [(n, allowed) for n in sizes], args.jobs
+    )
     results = []
     lines = []
     verdict = "PASS"
@@ -498,15 +488,15 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.v is None:
             raise UsageError("closure-vbalanced needs --v, an imbalance set")
         try:
-            ImbalanceSet.parse(args.v)
+            allowed = ImbalanceSet.parse(args.v)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        code, _ = _check_closure(args, args.v)
+        code, _ = _check_closure(args, allowed, str(allowed))
         return code
     if args.v is not None:
         raise UsageError(f"--v only applies to closure-vbalanced, not {args.property}")
     if args.property == "closure-balanced":
-        code, _ = _check_closure(args, None)
+        code, _ = _check_closure(args, ImbalanceSet.of(-1, 0, 1), "balanced")
         return code
     code, _ = _check_hypercube(args)
     return code

@@ -6,6 +6,9 @@ by interval in the rotation order, and covers the companion families:
 weight-balanced trees, trees with a fixed canopy, and trees with a fixed
 number of right children.
 
+:func:`closure_check` works from a family's own members: the materialized
+:func:`~tamari_balance.tamari.tamari_poset` serves Hasse export and tests.
+
 This is the one generator of imbalance families: the (size, height)
 levels built here give every such family, the balanced trees of
 :mod:`~tamari_balance.balance` (by size and by height) included.
@@ -16,9 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Iterable
 
-from .tamari import TamariPoset, phi, tamari_poset
+from .tamari import bracket_vector, covers, phi, tamari_leq
 from .trees import (
     LEAF,
     BinaryTree,
@@ -180,10 +183,10 @@ def _family_level(
 
 @dataclass(frozen=True)
 class ClosureCounterexample:
-    """Cover chain whose endpoints satisfy a predicate an inner tree fails.
+    """Cover chain between two family members through a non-member.
 
-    ``chain`` steps through single rotations; the predicate holds at both
-    ends and fails at ``chain[failing_index]``.  Other inner trees carry
+    ``chain`` steps through single rotations; both ends belong to the
+    family and ``chain[failing_index]`` does not.  Other inner trees carry
     no promise either way.
     """
 
@@ -203,66 +206,59 @@ class ClosureCounterexample:
         return self.chain[-1]
 
 
-_MAX_CLOSURE_NODES = 12
-
-
 def closure_check(
-    pred: Callable[[BinaryTree], bool],
-    n: int,
-    poset: TamariPoset | None = None,
+    members: Iterable[BinaryTree],
 ) -> ClosureCounterexample | None:
-    """Search all trees with ``n`` nodes for an interval escaping ``pred``.
+    """Whether a family of same-size trees is closed by interval.
 
-    Returns ``None`` when every tree between two predicate-satisfying
-    endpoints satisfies the predicate as well, otherwise a deterministic
-    witness chain through a failing tree.
+    Returns ``None`` when every tree between two members is a member,
+    otherwise a witness chain whose second tree leaves the family.  It
+    looks for an *escape*: a member ``s``, a cover ``u`` of ``s`` outside
+    the family, and a member ``v >= u``.  Every counterexample gives one:
+    on a saturated chain from a member through a non-member up to a member
+    ``v``, the first non-member and the tree before it form an escape with
+    ``v``.  Members are walked in the given order, covers in rank order,
+    ``v`` is the first member above ``u``, and the chain climbs to ``v`` by
+    the lowest-rank cover below ``v``.
     """
-    if n > _MAX_CLOSURE_NODES:
-        raise ValueError(f"closure sweep capped at {_MAX_CLOSURE_NODES} nodes")
-    if poset is None:
-        poset = tamari_poset(n)
-    elements = poset.elements
-    satisfied = [bool(pred(t)) for t in elements]
-    order = sorted(range(len(elements)), key=lambda i: phi(elements[i]))
-    below = [i if satisfied[i] else -1 for i in range(len(elements))]
-    for i in order:
-        if below[i] < 0:
-            continue
-        for j in poset.cover_edges[i]:
-            if below[j] < 0:
-                below[j] = below[i]
-    above = [-1] * len(elements)
-    for i in reversed(order):
-        if satisfied[i]:
-            above[i] = i
-            continue
-        for j in poset.cover_edges[i]:
-            if above[j] >= 0:
-                above[i] = above[j]
-                break
-    for i in order:
-        if not satisfied[i] and below[i] >= 0 and above[i] >= 0:
-            rising = _cover_path(poset, below[i], i)
-            full = rising + _cover_path(poset, i, above[i])[1:]
-            return ClosureCounterexample(
-                chain=tuple(elements[k] for k in full),
-                failing_index=len(rising) - 1,
-            )
+    members = tuple(members)
+    if len({t.node_count for t in members}) > 1:
+        raise ValueError("closure check needs trees of one size")
+    inside = set(members)
+    at_least: list[list[int]] | None = None
+    for s in members:
+        for u in covers(s):
+            if u in inside:
+                continue
+            if at_least is None:
+                at_least = _dominance_index(members)
+            above = (1 << len(members)) - 1
+            for row, entry in zip(at_least, bracket_vector(u)):
+                above &= row[entry]
+            if above:
+                v = members[(above & -above).bit_length() - 1]
+                chain = [s, u]
+                while chain[-1] != v:
+                    chain.append(next(c for c in covers(chain[-1]) if tamari_leq(c, v)))
+                return ClosureCounterexample(tuple(chain), failing_index=1)
     return None
 
 
-def _cover_path(poset: TamariPoset, i: int, j: int) -> list[int]:
-    """Some saturated chain of indices from ``i`` up to ``j``."""
-    allowed = poset.down_mask(j)
-    path = [i]
-    while path[-1] != j:
-        for nxt in poset.cover_edges[path[-1]]:
-            if allowed >> nxt & 1:
-                path.append(nxt)
-                break
-        else:
-            raise AssertionError("no rotation advances toward the upper endpoint")
-    return path
+def _dominance_index(members: tuple[BinaryTree, ...]) -> list[list[int]]:
+    """Bitmasks ``index[i][x]`` of the members whose vector entry ``i`` is ``>= x``.
+
+    ANDing the masks picked by the entries of a vector selects the members
+    above it in the rotation order.
+    """
+    size = members[0].node_count
+    index = [[0] * (size + 1) for _ in range(size)]
+    for bit, t in enumerate(members):
+        for row, entry in zip(index, bracket_vector(t)):
+            row[entry] |= 1 << bit
+    for row in index:
+        for x in reversed(range(size)):
+            row[x] |= row[x + 1]
+    return index
 
 
 @dataclass(frozen=True)

@@ -279,15 +279,16 @@ class Polynomial:
 
     def specialize(self, values: Mapping[str, int]) -> "Polynomial":
         """Assign integers to some variables, keeping the others."""
-        assignment: dict[str, Polynomial | int] = {
-            var: Polynomial.variable(var, self.markers)
-            for var in self.variables()
-        }
-        for var, val in values.items():
-            if not isinstance(val, int):
-                raise TypeError("specialize takes integer values")
-            assignment[var] = val
-        return self.substitute(assignment)
+        if not all(isinstance(val, int) for val in values.values()):
+            raise TypeError("specialize takes integer values")
+        total: dict[Monomial, int] = {}
+        for mono, coeff in self._terms.items():
+            for var, exp in mono.pairs:
+                coeff *= values.get(var, 1) ** exp
+            if coeff:
+                kept = Monomial((v, e) for v, e in mono.pairs if v not in values)
+                total[kept] = total.get(kept, 0) + coeff
+        return self._wrap({m: c for m, c in total.items() if c})
 
     def collect(self, var: str) -> dict[int, "Polynomial"]:
         """Group terms by the exponent of ``var``.

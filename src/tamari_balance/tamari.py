@@ -12,7 +12,8 @@ Huang and Tamari (1972): ``T0 <= T1`` exactly when every entry of
 :func:`bracket_vector` of ``T0``, the right-subtree sizes in infix order,
 is at most the same entry for ``T1``.  :func:`tamari_poset` materializes
 all trees of one size with their cover edges and reachability masks; it
-serves work on the whole order, such as Hasse export and closure sweeps.
+serves Hasse export of the whole order and test oracles, while closure
+sweeps work from a family's members alone.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from tamari_balance.families import (
     classify_interval_closure,
     closure_check,
     imbalance_family,
-    imbalances_within,
     is_weight_balanced,
     narayana_class,
     narayana_row,
@@ -106,7 +105,7 @@ def test_ac01_balanced_counts_by_enumeration_and_series():
 def test_ac02_balanced_family_is_closed_under_the_order():
     start = time.perf_counter()
     for n in range(12):
-        assert closure_check(is_balanced, n, poset=poset_for(n)) is None
+        assert closure_check(balanced_trees(n)) is None
     assert time.perf_counter() - start < 60.0
 
 
@@ -309,9 +308,7 @@ def test_ac09_tree_families():
         verdict = classify_interval_closure(allowed)
         first_break = None
         for n in range(9):
-            found = closure_check(
-                lambda t: imbalances_within(t, allowed), n, poset=poset_for(n)
-            )
+            found = closure_check(imbalance_family(n, allowed))
             if found is not None:
                 first_break = n
                 break

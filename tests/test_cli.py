@@ -221,7 +221,7 @@ class TestSeries:
         code, out, err = run(capsys, "series", "--builtin", "perf", "--degree", "-1")
         assert code == 2
         assert out == ""
-        assert err == "error: max_degree must be nonnegative\n"
+        assert err == "error: --degree must be nonnegative, got -1\n"
 
     def test_library_value_error_is_not_a_usage_error(self, capsys, monkeypatch):
         def broken(args):
@@ -284,6 +284,11 @@ class TestCheck:
         assert failing[0]["n"] == 7
         chain = failing[0]["counterexample"]["chain"]
         assert all(tree.count("(") == 7 for tree in chain)
+        assert chain == [
+            "((((..).).)(((..).).))",
+            "(((..)(..))(((..).).))",
+            "(((..)(..))((..)(..)))",
+        ]
 
     def test_closure_vbalanced_closed_family(self, capsys):
         code, out, err = run(

@@ -249,28 +249,26 @@ def generic_chain(beta):
 
 class TestClosureCheck:
     @pytest.mark.parametrize("n", range(10))
-    def test_balanced_trees_are_interval_closed(self, n, small_posets):
-        assert closure_check(is_balanced, n, small_posets[n]) is None
+    def test_balanced_trees_are_interval_closed(self, n):
+        assert closure_check(balanced_trees(n)) is None
 
     @pytest.mark.parametrize("text", ["0..0", "-1..0", "0..1", "-1..1", ".."])
-    def test_closed_families_have_no_counterexample(self, text, small_posets):
+    def test_closed_families_have_no_counterexample(self, text):
         v = ImbalanceSet.parse(text)
         for n in range(9):
-            pred = lambda t: imbalances_within(t, v)
-            assert closure_check(pred, n, small_posets[n]) is None
+            assert closure_check(imbalance_family(n, v)) is None
 
     @pytest.mark.parametrize("text,first", sorted(FIRST_FAILING.items()))
-    def test_first_failing_size(self, text, first, small_posets):
+    def test_first_failing_size(self, text, first):
         v = ImbalanceSet.parse(text)
-        pred = lambda t: imbalances_within(t, v)
         for n in range(first):
-            assert closure_check(pred, n, small_posets[n]) is None
-        assert closure_check(pred, first, small_posets[first]) is not None
+            assert closure_check(imbalance_family(n, v)) is None
+        assert closure_check(imbalance_family(first, v)) is not None
 
-    def test_counterexample_structure(self, small_posets):
+    def test_counterexample_structure(self):
         v = ImbalanceSet.parse("-2..0")
         pred = lambda t: imbalances_within(t, v)
-        cex = closure_check(pred, 7, small_posets[7])
+        cex = closure_check(imbalance_family(7, v))
         assert isinstance(cex, ClosureCounterexample)
         assert pred(cex.lower) and pred(cex.upper)
         assert not pred(cex.middle)
@@ -279,28 +277,76 @@ class TestClosureCheck:
         for a, b in zip(cex.chain, cex.chain[1:]):
             assert b in covers(a)
 
-    def test_counterexample_is_deterministic(self, small_posets):
+    def test_counterexample_is_deterministic(self):
         v = ImbalanceSet.parse("-2..2")
-        pred = lambda t: imbalances_within(t, v)
-        first = closure_check(pred, 6, small_posets[6])
-        second = closure_check(pred, 6, small_posets[6])
+        first = closure_check(imbalance_family(6, v))
+        second = closure_check(imbalance_family(6, v))
         assert first == second
 
-    def test_verdict_matches_exhaustive_search(self, small_posets):
+    def test_verdict_matches_exhaustive_search(self):
         for lower in (0, -1, -2, -3, None):
             for upper in (0, 1, 2, 3, None):
                 v = ImbalanceSet.between(lower, upper)
                 verdict = classify_interval_closure(v)
-                pred = lambda t: imbalances_within(t, v)
                 failed = any(
-                    closure_check(pred, n, small_posets[n]) is not None
+                    closure_check(imbalance_family(n, v)) is not None
                     for n in range(9)
                 )
                 assert verdict.closed == (not failed), (lower, upper)
 
-    def test_size_guard(self):
+    def test_mixed_sizes_rejected(self):
         with pytest.raises(ValueError):
-            closure_check(is_balanced, 13)
+            closure_check(balanced_trees(3) + balanced_trees(4))
+
+
+BOUNDS = (-3, -2, -1, 0, 1, 2, 3, None)
+
+# Every contiguous set with bounds in BOUNDS, and every {0, b}.
+ORACLE_SETS = sorted(
+    {
+        str(ImbalanceSet.between(lower, upper))
+        for lower in BOUNDS
+        for upper in BOUNDS
+        if (lower is None or lower <= 0) and (upper is None or upper >= 0)
+    }
+    | {str(ImbalanceSet.of(0, beta)) for beta in range(-4, 5)}
+)
+
+
+def assert_matches_definition(poset, members):
+    """Compare ``closure_check`` with the definition of closure by interval.
+
+    The family is closed when, for members s and v, every tree of
+    ``[s, v]`` is a member; a returned chain must be a valid certificate.
+    """
+    inside = poset.mask_of(members)
+    indices = [poset.index(t) for t in members]
+    closed = all(
+        poset.up_mask(i) & poset.down_mask(j) & ~inside == 0
+        for i in indices
+        for j in indices
+    )
+    found = closure_check(members)
+    assert (found is None) == closed
+    if found is not None:
+        assert found.failing_index == 1
+        assert found.lower in members and found.upper in members
+        assert found.middle not in members
+        for a, b in zip(found.chain, found.chain[1:]):
+            assert b in covers(a)
+
+
+class TestClosureOracle:
+    @pytest.mark.parametrize("text", ORACLE_SETS)
+    def test_imbalance_families(self, text, small_posets):
+        v = ImbalanceSet.parse(text)
+        for n in range(9):
+            assert_matches_definition(small_posets[n], imbalance_family(n, v))
+
+    def test_narayana_classes(self, small_posets):
+        for n in range(9):
+            for k in range(max(n, 1)):
+                assert_matches_definition(small_posets[n], narayana_class(n, k))
 
 
 class TestReferenceChains:
@@ -564,7 +610,6 @@ class TestNarayana:
                 assert nar(successor) >= nar(t)
 
     @pytest.mark.parametrize("n", range(1, 10))
-    def test_classes_are_interval_closed(self, n, small_posets):
+    def test_classes_are_interval_closed(self, n):
         for k in range(n):
-            pred = lambda t: nar(t) == k
-            assert closure_check(pred, n, small_posets[n]) is None
+            assert closure_check(narayana_class(n, k)) is None

@@ -221,6 +221,22 @@ def test_substitute_matches_sympy(sp, p, a, b, c):
 
 
 @settings(max_examples=60, deadline=None)
+@given(
+    polynomials,
+    st.dictionaries(st.sampled_from("xyz"), st.integers(-2, 2), max_size=3),
+    marker_sets,
+)
+def test_specialize_matches_sympy(sp, p, values, markers):
+    p = Polynomial(dict(p.items()), markers)
+    want = to_sympy(sp, p).subs(
+        {sp.Symbol(var): val for var, val in values.items()}, simultaneous=True
+    )
+    got = p.specialize(values)
+    assert got == from_sympy(sp, want)
+    assert got.markers == frozenset(markers)
+
+
+@settings(max_examples=60, deadline=None)
 @given(polynomials, st.integers(0, 6), marker_sets)
 def test_truncate_matches_sympy(sp, p, d, markers):
     p = Polynomial(dict(p.items()), markers)
