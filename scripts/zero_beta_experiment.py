@@ -11,19 +11,10 @@ import argparse
 import json
 
 from tamari_balance.families import ImbalanceSet, closure_check, imbalance_family
-from tamari_balance.tamari import tamari_leq
+from tamari_balance.tamari import comparable_pairs
 from tamari_balance.trees import serialize
 
-MAX_SWEEP = 12
-
-
-def comparable_pairs(members):
-    return [
-        (lower, upper)
-        for lower in members
-        for upper in members
-        if upper != lower and tamari_leq(lower, upper)
-    ]
+MAX_SWEEP = 26
 
 
 def trial(beta: int, max_n: int) -> dict:
@@ -34,7 +25,9 @@ def trial(beta: int, max_n: int) -> dict:
     for n in range(max_n + 1):
         members = imbalance_family(n, allowed)
         sizes.append(len(members))
-        for lower, upper in comparable_pairs(members):
+        for lower, upper in comparable_pairs(members, members):
+            if lower == upper:
+                continue
             comparable.append(
                 {"n": n, "lower": serialize(lower), "upper": serialize(upper)}
             )

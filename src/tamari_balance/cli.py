@@ -55,10 +55,10 @@ from .patterns import BalanceFlag, classify_balanced, interior_count
 from .polynomials import Polynomial
 from .tamari import (
     IncomparableError,
+    comparable_pairs,
     covers,
     hasse_dot,
     interval,
-    tamari_leq,
     tamari_poset,
 )
 from .trees import TreeParseError, parse, serialize
@@ -205,10 +205,10 @@ _FAMILIES: dict[str, _Family] = {
         "n", tuple(fixtures.MAXIMAL_BALANCED_COUNTS), 13, _maximal_balanced_counts
     ),
     "balanced-intervals": _Family(
-        "n", tuple(fixtures.BALANCED_INTERVAL_COUNTS[:12]), 11, _interval_counts
+        "n", tuple(fixtures.BALANCED_INTERVAL_COUNTS[:20]), 11, _interval_counts
     ),
     "maximal-intervals": _Family(
-        "n", tuple(fixtures.MAXIMAL_INTERVAL_COUNTS[:12]), 11, _maximal_interval_counts
+        "n", tuple(fixtures.MAXIMAL_INTERVAL_COUNTS[:20]), 11, _maximal_interval_counts
     ),
     "interior-by-height": _Family(
         "h", tuple(fixtures.INTERIOR_BY_HEIGHT), 12, _interior_counts
@@ -359,14 +359,11 @@ def _hypercube_at(n: int) -> dict:
     trees = balanced_trees(n)
     histogram: dict[int, int] = {}
     failing: list[str] | None = None
-    for upper in trees:
-        for lower in trees:
-            if not tamari_leq(lower, upper):
-                continue
-            k, ok = verify_hypercube(lower, upper)
-            if not ok and failing is None:
-                failing = [serialize(lower), serialize(upper)]
-            histogram[k] = histogram.get(k, 0) + 1
+    for lower, upper in comparable_pairs(trees, trees):
+        k, ok = verify_hypercube(lower, upper)
+        if not ok and failing is None:
+            failing = [serialize(lower), serialize(upper)]
+        histogram[k] = histogram.get(k, 0) + 1
     return {
         "trees": len(trees),
         "intervals": sum(histogram.values()),
@@ -378,9 +375,11 @@ def _hypercube_at(n: int) -> dict:
 
 
 def _run_over_sizes(worker: Callable, tasks: list, jobs: int) -> list:
-    if jobs <= 1:
+    # A forking pool starts every worker at once: no more than the tasks.
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 
 

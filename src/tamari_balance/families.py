@@ -6,7 +6,9 @@ by interval in the rotation order, and covers the companion families:
 weight-balanced trees, trees with a fixed canopy, and trees with a fixed
 number of right children.
 
-:func:`closure_check` works from a family's own members: the materialized
+:func:`closure_check` works from a family's own members and asks
+:func:`~tamari_balance.tamari.comparable_pairs` which members lie above
+the covers that leave the family; the materialized
 :func:`~tamari_balance.tamari.tamari_poset` serves Hasse export and tests.
 
 This is the one generator of imbalance families: the (size, height)
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .tamari import bracket_vector, covers, phi, tamari_leq
+from .tamari import comparable_pairs, covers, phi, tamari_leq
 from .trees import (
     LEAF,
     BinaryTree,
@@ -225,40 +227,16 @@ def closure_check(
     if len({t.node_count for t in members}) > 1:
         raise ValueError("closure check needs trees of one size")
     inside = set(members)
-    at_least: list[list[int]] | None = None
-    for s in members:
-        for u in covers(s):
-            if u in inside:
-                continue
-            if at_least is None:
-                at_least = _dominance_index(members)
-            above = (1 << len(members)) - 1
-            for row, entry in zip(at_least, bracket_vector(u)):
-                above &= row[entry]
-            if above:
-                v = members[(above & -above).bit_length() - 1]
-                chain = [s, u]
-                while chain[-1] != v:
-                    chain.append(next(c for c in covers(chain[-1]) if tamari_leq(c, v)))
-                return ClosureCounterexample(tuple(chain), failing_index=1)
+    leaving = (u for t in members for u in covers(t) if u not in inside)
+    for u, v in comparable_pairs(leaving, members):
+        # The walk reached u from the first member that has u as a cover:
+        # an earlier one would have offered u, with v above it, sooner.
+        s = next(t for t in members if u in covers(t))
+        chain = [s, u]
+        while chain[-1] != v:
+            chain.append(next(c for c in covers(chain[-1]) if tamari_leq(c, v)))
+        return ClosureCounterexample(tuple(chain), failing_index=1)
     return None
-
-
-def _dominance_index(members: tuple[BinaryTree, ...]) -> list[list[int]]:
-    """Bitmasks ``index[i][x]`` of the members whose vector entry ``i`` is ``>= x``.
-
-    ANDing the masks picked by the entries of a vector selects the members
-    above it in the rotation order.
-    """
-    size = members[0].node_count
-    index = [[0] * (size + 1) for _ in range(size)]
-    for bit, t in enumerate(members):
-        for row, entry in zip(index, bracket_vector(t)):
-            row[entry] |= 1 << bit
-    for row in index:
-        for x in reversed(range(size)):
-            row[x] |= row[x + 1]
-    return index
 
 
 @dataclass(frozen=True)

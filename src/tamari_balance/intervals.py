@@ -13,8 +13,7 @@ subposet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .balance import RotationKind, classify_rotation, balanced_trees, is_balanced
 from .grammars import builtin_grammar, series
@@ -22,7 +21,7 @@ from .patterns import BalanceFlag, classify_balanced
 from .polynomials import Monomial, Polynomial
 from .tamari import (
     IncomparableError,
-    bracket_vector,
+    comparable_pairs,
     hasse_dot,
     interval,
     right_rotation,
@@ -72,12 +71,6 @@ class RotationRootSet:
         return ascending
 
 
-def _below_checker(t1: BinaryTree) -> Callable[[BinaryTree], bool]:
-    """Test ``u <= t1`` for trees ``u`` of the size of ``t1``."""
-    upper = bracket_vector(t1)
-    return lambda u: all(map(le, bracket_vector(u), upper))
-
-
 def _require_balanced_pair(t0: BinaryTree, t1: BinaryTree) -> None:
     if not is_balanced(t0) or not is_balanced(t1):
         raise ValueError("both interval endpoints must be balanced")
@@ -96,7 +89,6 @@ def rotation_root_set(t0: BinaryTree, t1: BinaryTree) -> RotationRootSet:
     comparable.
     """
     _require_balanced_pair(t0, t1)
-    below = _below_checker(t1)
     ranks: list[int] = []
     cur = t0
     while cur != t1:
@@ -107,7 +99,7 @@ def rotation_root_set(t0: BinaryTree, t1: BinaryTree) -> RotationRootSet:
             ):
                 continue
             rotated = right_rotation(cur, rank)
-            if below(rotated):
+            if tamari_leq(rotated, t1):
                 ranks.append(rank)
                 cur = rotated
                 break
@@ -147,26 +139,22 @@ def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
         return k, False
     if set(trees) != set(interval(t0, t1)):
         return k, False
-    checkers = [_below_checker(t) for t in trees]
-    for lo in range(1 << k):
-        for hi in range(1 << k):
-            contained = lo & hi == lo
-            if contained != checkers[hi](trees[lo]):
-                return k, False
-    return k, True
+    contained = {
+        (trees[lo], trees[hi])
+        for hi in range(1 << k)
+        for lo in range(1 << k)
+        if lo & hi == lo
+    }
+    return k, set(comparable_pairs(trees, trees)) == contained
 
 
 def hypercube_histogram(n: int) -> dict[int, int]:
     """Dimension counts over all comparable balanced pairs at size ``n``."""
     histogram: dict[int, int] = {}
     trees = balanced_trees(n)
-    for upper in trees:
-        below = _below_checker(upper)
-        for lower in trees:
-            if not below(lower):
-                continue
-            k = len(rotation_root_set(lower, upper).ranks)
-            histogram[k] = histogram.get(k, 0) + 1
+    for lower, upper in comparable_pairs(trees, trees):
+        k = len(rotation_root_set(lower, upper).ranks)
+        histogram[k] = histogram.get(k, 0) + 1
     return dict(sorted(histogram.items()))
 
 
@@ -199,11 +187,8 @@ def count_balanced_intervals(n: int) -> int:
     as a grammar series coefficient; the two must agree and the brute
     count is returned.
     """
-    brute = 0
     trees = balanced_trees(n)
-    for upper in trees:
-        below = _below_checker(upper)
-        brute += sum(1 for lower in trees if below(lower))
+    brute = sum(1 for _ in comparable_pairs(trees, trees))
     via_grammar = _specialized_series("bi", n + 1).coefficient({"x": n + 1})
     if brute != via_grammar:
         raise CrossCheckError(
@@ -218,11 +203,7 @@ def _maximal_interval_pairs(n: int) -> list[tuple[BinaryTree, BinaryTree]]:
     flags = [(t, classify_balanced(t)) for t in balanced_trees(n)]
     lowers = [t for t, flag in flags if BalanceFlag.MINIMAL_LEFT in flag]
     uppers = [t for t, flag in flags if BalanceFlag.MAXIMAL_RIGHT in flag]
-    pairs = []
-    for upper in uppers:
-        below = _below_checker(upper)
-        pairs.extend((lower, upper) for lower in lowers if below(lower))
-    return pairs
+    return list(comparable_pairs(lowers, uppers))
 
 
 def count_maximal_balanced_intervals(

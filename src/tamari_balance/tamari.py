@@ -10,10 +10,10 @@ to ``T1``.
 The order is decided without search by the bracket-vector criterion of
 Huang and Tamari (1972): ``T0 <= T1`` exactly when every entry of
 :func:`bracket_vector` of ``T0``, the right-subtree sizes in infix order,
-is at most the same entry for ``T1``.  :func:`tamari_poset` materializes
-all trees of one size with their cover edges and reachability masks; it
-serves Hasse export of the whole order and test oracles, while closure
-sweeps work from a family's members alone.
+is at most the same entry for ``T1``.  Which trees of one list lie
+above which trees of another is decided by :func:`comparable_pairs`.
+:func:`tamari_poset` materializes all trees of one size with their cover
+edges and reachability masks; it serves Hasse export and test oracles.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from operator import le
+from typing import Iterable, Iterator
 
 from .trees import (
     BinaryTree,
@@ -128,6 +129,48 @@ def tamari_leq(t0: BinaryTree, t1: BinaryTree) -> bool:
             f"cannot compare trees with {t0.node_count} and {t1.node_count} nodes"
         )
     return all(map(le, bracket_vector(t0), bracket_vector(t1)))
+
+
+def comparable_pairs(
+    lowers: Iterable[BinaryTree], uppers: Iterable[BinaryTree]
+) -> Iterator[tuple[BinaryTree, BinaryTree]]:
+    """Yield ``(lower, upper)`` for every ``lower <= upper``.
+
+    Lowers are read lazily in the order given; for each, the uppers above
+    it come in their own order, picked by ANDing one mask per vector entry
+    from an index over the uppers (dominance counting after Bentley,
+    1980).  The index is built when the first lower arrives.  A tree of
+    another size than the uppers raises :class:`ValueError`.
+    """
+    uppers = tuple(uppers)
+    if not uppers:
+        return
+    at_least: list[list[int]] | None = None
+    for lower in lowers:
+        if at_least is None:
+            at_least = _dominance_index(uppers)
+        above = (1 << len(uppers)) - 1
+        for row, entry in zip(at_least, bracket_vector(lower), strict=True):
+            above &= row[entry]
+        for i in mask_indices(above):
+            yield lower, uppers[i]
+
+
+def _dominance_index(trees: tuple[BinaryTree, ...]) -> list[list[int]]:
+    """Bitmasks ``index[i][x]`` of the trees whose vector entry ``i`` is ``>= x``.
+
+    ANDing the masks picked by the entries of a vector selects the trees
+    above it in the rotation order.
+    """
+    size = trees[0].node_count
+    index = [[0] * (size + 1) for _ in range(size)]
+    for bit, t in enumerate(trees):
+        for row, entry in zip(index, bracket_vector(t), strict=True):
+            row[entry] |= 1 << bit
+    for row in index:
+        for x in reversed(range(size)):
+            row[x] |= row[x + 1]
+    return index
 
 
 def interval(t0: BinaryTree, t1: BinaryTree) -> tuple[BinaryTree, ...]:

@@ -153,6 +153,13 @@ class TestEnum:
         assert computed == fixtures.MAXIMAL_BALANCED_COUNTS
         assert len(computed) == 35
 
+    @pytest.mark.parametrize("family", ["balanced-intervals", "maximal-intervals"])
+    def test_interval_sequences_to_nineteen(self, capsys, family):
+        code, out, err = run(capsys, "enum", family, "--max-n", "19")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[-1] == "PASS (20/20 match)"
+
     def test_run_enum_defaults(self):
         report = run_enum("interior-by-height")
         assert report.indices == tuple(range(13))
@@ -322,6 +329,30 @@ class TestCheck:
         assert code == 0
         assert payload["verdict"] == "PASS"
         assert [r["n"] for r in payload["results"]] == list(range(7))
+
+    def test_jobs_never_exceed_the_sizes(self, capsys, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        code, payload = run_json(
+            capsys, "check", "closure-balanced", "--max-n", "3", "--jobs", "1000"
+        )
+        assert code == 0
+        assert payload["verdict"] == "PASS"
+        assert pools == [4]
 
     def test_unknown_property(self, capsys):
         code, _, err = run(capsys, "check", "associativity")

@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_trees
+from tamari_balance import tamari
+from tamari_balance.balance import balanced_trees
+from tamari_balance.families import closure_check
 from tamari_balance.tamari import (
     IncomparableError,
     RotationError,
     TamariPoset,
+    comparable_pairs,
     covers,
     hasse_dot,
     interval,
@@ -232,6 +236,55 @@ def test_comparable_pairs_match_chapoton_count(n):
     assert pairs == 2 * factorial(4 * n + 1) // (
         factorial(n + 1) * factorial(3 * n + 2)
     )
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_comparable_pairs_match_up_masks(n):
+    poset = tamari_poset(n)
+    expected = [
+        (t0, t1)
+        for i, t0 in enumerate(poset.elements)
+        for j, t1 in enumerate(poset.elements)
+        if poset.up_mask(i) >> j & 1
+    ]
+    assert list(comparable_pairs(poset.elements, poset.elements)) == expected
+
+
+def test_comparable_pairs_keep_both_orders():
+    lowers = balanced_trees(5)
+    uppers = tuple(reversed(all_trees(5)))
+    expected = [
+        (lower, upper)
+        for lower in lowers
+        for upper in uppers
+        if tamari_leq(lower, upper)
+    ]
+    assert list(comparable_pairs(lowers, uppers)) == expected
+    assert list(comparable_pairs(iter(lowers), iter(uppers))) == expected
+
+
+def test_comparable_pairs_edge_cases():
+    assert list(comparable_pairs([], all_trees(3))) == []
+    assert list(comparable_pairs(all_trees(3), [])) == []
+    leaf = parse(".")
+    assert list(comparable_pairs([leaf], [leaf])) == [(leaf, leaf)]
+
+
+def test_comparable_pairs_reject_other_sizes():
+    with pytest.raises(ValueError):
+        list(comparable_pairs([parse("(..)")], all_trees(3)))
+    with pytest.raises(ValueError):
+        list(comparable_pairs(all_trees(3), all_trees(3) + all_trees(2)))
+
+
+def test_comparable_pairs_build_the_index_on_the_first_lower(monkeypatch):
+    def refuse(trees):
+        raise AssertionError("index built with no lower to compare")
+
+    monkeypatch.setattr(tamari, "_dominance_index", refuse)
+    assert closure_check(all_trees(6)) is None
+    assert list(comparable_pairs([], all_trees(4))) == []
+    assert list(comparable_pairs(iter(()), all_trees(4))) == []
 
 
 def test_dot_output_is_deterministic_and_complete():
