@@ -11,15 +11,17 @@ component first) as it goes.  Render with graphviz, for example::
 import argparse
 from pathlib import Path
 
+from tamari_balance import limits
 from tamari_balance.intervals import balanced_subposet
-
-MAX_SIZE = 15
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--max-n", type=int, default=9, help="largest tree size to export"
+        "--max-n",
+        type=int,
+        default=9,
+        help=f"largest tree size to export, at most {limits.HASSE_BALANCED.bound}",
     )
     parser.add_argument(
         "--out-dir",
@@ -28,8 +30,8 @@ def main() -> int:
         help="directory for the DOT files",
     )
     args = parser.parse_args()
-    if not 0 <= args.max_n <= MAX_SIZE:
-        parser.error(f"--max-n must lie in 0..{MAX_SIZE}")
+    if not 0 <= args.max_n <= limits.HASSE_BALANCED.bound:
+        parser.error(f"--max-n must lie in 0..{limits.HASSE_BALANCED.bound}")
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for n in range(args.max_n + 1):

@@ -10,11 +10,10 @@ on small sizes, and prints it as an observation only.
 import argparse
 import json
 
+from tamari_balance import limits
 from tamari_balance.families import ImbalanceSet, closure_check, imbalance_family
 from tamari_balance.tamari import comparable_pairs
 from tamari_balance.trees import serialize
-
-MAX_SWEEP = 26
 
 
 def trial(beta: int, max_n: int) -> dict:
@@ -55,12 +54,15 @@ def main() -> int:
         help="offsets b to try (default -4..4)",
     )
     parser.add_argument(
-        "--max-n", type=int, default=9, help="largest tree size to sweep"
+        "--max-n",
+        type=int,
+        default=9,
+        help=f"largest tree size to sweep, at most {limits.IMBALANCE_FAMILY.bound}",
     )
     parser.add_argument("--json", action="store_true", help="emit JSON")
     args = parser.parse_args()
-    if not 0 <= args.max_n <= MAX_SWEEP:
-        parser.error(f"--max-n must lie in 0..{MAX_SWEEP}")
+    if not 0 <= args.max_n <= limits.IMBALANCE_FAMILY.bound:
+        parser.error(f"--max-n must lie in 0..{limits.IMBALANCE_FAMILY.bound}")
 
     results = [trial(beta, args.max_n) for beta in sorted(set(args.beta))]
     if args.json:

@@ -23,6 +23,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from . import limits
 from .families import ImbalanceSet, _family_level, imbalance_family
 from .tamari import RotationError
 from .trees import BinaryTree, iter_subtrees, serialize, subtree_at
@@ -51,22 +52,17 @@ def balanced_trees(n: int) -> tuple[BinaryTree, ...]:
     return imbalance_family(n, _BALANCED)
 
 
-_MAX_HEIGHT_ENUM = 5
-
-
 def balanced_trees_of_height(h: int) -> tuple[BinaryTree, ...]:
     """All balanced trees of height exactly ``h``, sorted by tree string.
 
     They are the ``{-1, 0, 1}`` family levels at height ``h`` over the
     sizes ``h .. 2**h - 1``.  The counts grow doubly exponentially
-    (1, 1, 3, 15, 315, 108675, ...) so heights above 5 are refused.
+    (1, 1, 3, 15, 315, 108675, ...), so ``h`` is capped by
+    :data:`limits.HEIGHT`.
     """
     if h < 0:
         raise ValueError("height must be nonnegative")
-    if h > _MAX_HEIGHT_ENUM:
-        raise ValueError(
-            f"enumeration by height is limited to h <= {_MAX_HEIGHT_ENUM}"
-        )
+    limits.HEIGHT.check(h)
     levels = (_family_level(n, h, _BALANCED) for n in range(h, 2**h))
     return tuple(sorted((t for level in levels for t in level), key=serialize))
 

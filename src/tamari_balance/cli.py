@@ -33,7 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from . import fixtures
+from . import fixtures, limits
 from .balance import balanced_trees
 from .families import (
     ClosureCounterexample,
@@ -121,15 +121,12 @@ class SequenceReport:
         }
 
 
-_ENUM_CROSS_CHECK_MAX = 10
-
-
 def _balanced_counts(max_n: int) -> tuple[int, ...]:
     poly = series(builtin_grammar("bal"), max_n + 1).specialize({"y": 0})
     out = []
     for n in range(max_n + 1):
         count = poly.coefficient({"x": n + 1})
-        if n <= _ENUM_CROSS_CHECK_MAX:
+        if n <= limits.ENUM_CROSS_CHECK.bound:
             enumerated = len(balanced_trees(n))
             if enumerated != count:
                 raise CrossCheckError(
@@ -146,7 +143,7 @@ def _maximal_balanced_counts(max_n: int) -> tuple[int, ...]:
     out = []
     for n in range(max_n + 1):
         count = poly.coefficient({"x": n + 1})
-        if n <= _ENUM_CROSS_CHECK_MAX:
+        if n <= limits.ENUM_CROSS_CHECK.bound:
             brute = sum(
                 1
                 for t in balanced_trees(n)
@@ -191,7 +188,6 @@ def _zero_one_counts(max_n: int) -> tuple[int, ...]:
 class _Family:
     label: str
     expected: tuple[int, ...]
-    default_max: int
     compute: Callable[[int], tuple[int, ...]]
 
     @property
@@ -199,25 +195,31 @@ class _Family:
         return len(self.expected) - 1
 
 
+# The interval families check their references only as far as the brute
+# route that cross-checks each series value runs.
 _FAMILIES: dict[str, _Family] = {
-    "balanced": _Family("n", tuple(fixtures.BALANCED_COUNTS), 19, _balanced_counts),
+    "balanced": _Family("n", tuple(fixtures.BALANCED_COUNTS), _balanced_counts),
     "maximal-balanced": _Family(
-        "n", tuple(fixtures.MAXIMAL_BALANCED_COUNTS), 13, _maximal_balanced_counts
+        "n", tuple(fixtures.MAXIMAL_BALANCED_COUNTS), _maximal_balanced_counts
     ),
     "balanced-intervals": _Family(
-        "n", tuple(fixtures.BALANCED_INTERVAL_COUNTS[:20]), 11, _interval_counts
+        "n",
+        tuple(fixtures.BALANCED_INTERVAL_COUNTS[: limits.BRUTE_INTERVALS.bound + 1]),
+        _interval_counts,
     ),
     "maximal-intervals": _Family(
-        "n", tuple(fixtures.MAXIMAL_INTERVAL_COUNTS[:20]), 11, _maximal_interval_counts
+        "n",
+        tuple(fixtures.MAXIMAL_INTERVAL_COUNTS[: limits.BRUTE_INTERVALS.bound + 1]),
+        _maximal_interval_counts,
     ),
     "interior-by-height": _Family(
-        "h", tuple(fixtures.INTERIOR_BY_HEIGHT), 12, _interior_counts
+        "h", tuple(fixtures.INTERIOR_BY_HEIGHT), _interior_counts
     ),
     "weight-balanced": _Family(
-        "n", tuple(fixtures.WEIGHT_BALANCED_COUNTS), 21, _weight_balanced_counts
+        "n", tuple(fixtures.WEIGHT_BALANCED_COUNTS), _weight_balanced_counts
     ),
     "zero-one-balanced": _Family(
-        "n", tuple(fixtures.ZERO_ONE_BALANCED_COUNTS), 26, _zero_one_counts
+        "n", tuple(fixtures.ZERO_ONE_BALANCED_COUNTS), _zero_one_counts
     ),
 }
 
@@ -247,7 +249,7 @@ def run_enum(family: str, max_n: int | None = None, n: int | None = None) -> Seq
     if n is not None:
         raise UsageError(f"family {family} takes --max-n, not --n")
     spec = _FAMILIES[family]
-    limit = spec.default_max if max_n is None else max_n
+    limit = spec.max_index if max_n is None else max_n
     if limit < 0:
         raise UsageError(f"--max-n must be nonnegative, got {limit}")
     if limit > spec.max_index:
@@ -384,8 +386,6 @@ def _run_over_sizes(worker: Callable, tasks: list, jobs: int) -> list:
 
 
 _CHECK_PROPERTIES = ("closure-balanced", "closure-vbalanced", "hypercube")
-_CHECK_DEFAULT_MAX = {"closure-balanced": 11, "closure-vbalanced": 8, "hypercube": 11}
-_CHECK_MAX = 12
 
 
 def _check_closure(
@@ -477,10 +477,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.property not in _CHECK_PROPERTIES:
         known = ", ".join(_CHECK_PROPERTIES)
         raise UsageError(f"unknown property {args.property!r}; choose from {known}")
-    if args.max_n is None:
-        args.max_n = _CHECK_DEFAULT_MAX[args.property]
-    if not 0 <= args.max_n <= _CHECK_MAX:
-        raise UsageError(f"--max-n must lie in 0..{_CHECK_MAX}, got {args.max_n}")
+    if not 0 <= args.max_n <= limits.CHECK_SWEEP.bound:
+        raise UsageError(
+            f"--max-n must lie in 0..{limits.CHECK_SWEEP.bound}, got {args.max_n}"
+        )
     if args.jobs < 1:
         raise UsageError(f"--jobs must be positive, got {args.jobs}")
     if args.property == "closure-vbalanced":
@@ -505,25 +505,19 @@ def cmd_check(args: argparse.Namespace) -> int:
 # Hasse diagram export
 
 
-_HASSE_MAX_TAMARI = 10
-_HASSE_MAX_BALANCED = 15
-_HASSE_MAX_INTERVAL = 12
+def _capped(command: str, limit: limits.Limit, n: int) -> None:
+    if not 0 <= n <= limit.bound:
+        raise UsageError(f"{command} is capped at n={limit.bound}, got {n}")
 
 
 def _hasse_graph(args: argparse.Namespace) -> tuple[str, int, int]:
     if args.target == "tamari":
-        if not 0 <= args.n <= _HASSE_MAX_TAMARI:
-            raise UsageError(
-                f"hasse tamari is capped at n={_HASSE_MAX_TAMARI}, got {args.n}"
-            )
+        _capped("hasse tamari", limits.HASSE_TAMARI, args.n)
         poset = tamari_poset(args.n)
         edge_count = sum(len(outs) for outs in poset.cover_edges)
         return poset.to_dot(), len(poset), edge_count
     if args.target == "balanced":
-        if not 0 <= args.n <= _HASSE_MAX_BALANCED:
-            raise UsageError(
-                f"hasse balanced is capped at n={_HASSE_MAX_BALANCED}, got {args.n}"
-            )
+        _capped("hasse balanced", limits.HASSE_BALANCED, args.n)
         subposet = balanced_subposet(args.n)
         return subposet.to_dot(), len(subposet.trees), len(subposet.edges)
     try:
@@ -536,11 +530,7 @@ def _hasse_graph(args: argparse.Namespace) -> tuple[str, int, int]:
             f"interval endpoints need equal sizes, got "
             f"{lower.node_count} and {upper.node_count} nodes"
         )
-    if lower.node_count > _HASSE_MAX_INTERVAL:
-        raise UsageError(
-            f"hasse interval is capped at n={_HASSE_MAX_INTERVAL}, "
-            f"got {lower.node_count}"
-        )
+    _capped("hasse interval", limits.HASSE_INTERVAL, lower.node_count)
     try:
         trees = interval(lower, upper)
     except IncomparableError:
@@ -601,7 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_enum.add_argument("family", help="family id, e.g. balanced")
     p_enum.add_argument(
-        "--max-n", type=int, default=None, help="last index to compute"
+        "--max-n",
+        type=int,
+        default=None,
+        help="last index to compute (default: the whole reference range)",
     )
     p_enum.add_argument(
         "--n", type=int, default=None, help="row index (narayana only)"
@@ -638,7 +631,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("property", help="property id, e.g. closure-balanced")
     p_check.add_argument(
-        "--max-n", type=int, default=None, help="largest size to sweep"
+        "--max-n",
+        type=int,
+        default=limits.CHECK_SWEEP.bound,
+        help=f"largest size to sweep, at most and by default "
+        f"{limits.CHECK_SWEEP.bound}; closure-vbalanced --v=.. takes about "
+        "14 s there",
     )
     p_check.add_argument(
         "--v", help="imbalance set for closure-vbalanced, e.g. -2..0 or 0,1"
@@ -654,13 +652,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     hasse_sub = p_hasse.add_subparsers(dest="target", required=True)
     p_tamari = hasse_sub.add_parser("tamari", help="whole rotation order on n nodes")
-    p_tamari.add_argument("n", type=int)
+    p_tamari.add_argument(
+        "n", type=int, help=f"node count, at most {limits.HASSE_TAMARI.bound}"
+    )
     p_balanced = hasse_sub.add_parser(
         "balanced", help="balanced subposet on n nodes"
     )
-    p_balanced.add_argument("n", type=int)
+    p_balanced.add_argument(
+        "n", type=int, help=f"node count, at most {limits.HASSE_BALANCED.bound}"
+    )
     p_interval = hasse_sub.add_parser(
-        "interval", help="one interval given by two tree strings"
+        "interval",
+        help="one interval given by two tree strings, "
+        f"at most {limits.HASSE_INTERVAL.bound} nodes each",
     )
     p_interval.add_argument("lower", help="lower endpoint tree string")
     p_interval.add_argument("upper", help="upper endpoint tree string")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
+from . import limits
 from .tamari import comparable_pairs, covers, phi, tamari_leq
 from .trees import (
     LEAF,
@@ -138,9 +139,6 @@ def imbalances_within(t: BinaryTree, allowed: ImbalanceSet) -> bool:
     )
 
 
-_MAX_FAMILY_NODES = 26
-
-
 def imbalance_family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
     """All trees with ``n`` nodes whose imbalances stay in ``allowed``.
 
@@ -150,8 +148,7 @@ def imbalance_family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
     """
     if n < 0:
         raise ValueError("node count must be nonnegative")
-    if n > _MAX_FAMILY_NODES:
-        raise ValueError(f"family enumeration capped at {_MAX_FAMILY_NODES} nodes")
+    limits.IMBALANCE_FAMILY.check(n)
     members = [t for h in range(n + 1) for t in _family_level(n, h, allowed)]
     return tuple(sorted(members, key=serialize))
 
@@ -299,18 +296,12 @@ def is_weight_balanced(t: BinaryTree) -> bool:
     )
 
 
-_MAX_WEIGHT_NODES = 15
-
-
 @lru_cache(maxsize=None)
 def weight_balanced_trees(n: int) -> tuple[BinaryTree, ...]:
     """All weight-balanced trees with ``n`` nodes, sorted by tree string."""
     if n < 0:
         raise ValueError("node count must be nonnegative")
-    if n > _MAX_WEIGHT_NODES:
-        raise ValueError(
-            f"weight-balanced enumeration capped at {_MAX_WEIGHT_NODES} nodes"
-        )
+    limits.WEIGHT_BALANCED.check(n)
     if n == 0:
         return (LEAF,)
     rest = n - 1

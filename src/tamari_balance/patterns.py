@@ -20,6 +20,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import limits
 from .balance import balanced_trees_of_height, is_balanced
 from .trees import LEAF, BinaryTree, iter_subtrees, node
 
@@ -190,9 +191,6 @@ def classify_balanced(t: BinaryTree) -> frozenset[BalanceFlag]:
     return frozenset(flags)
 
 
-_MAX_INTERIOR_ENUM = 10
-
-
 @lru_cache(maxsize=None)
 def interior_trees(h: int) -> tuple[BinaryTree, ...]:
     """Right-interior trees of height exactly ``h``.
@@ -204,11 +202,7 @@ def interior_trees(h: int) -> tuple[BinaryTree, ...]:
     """
     if h < 0:
         raise ValueError("height must be nonnegative")
-    if h > _MAX_INTERIOR_ENUM:
-        raise ValueError(
-            f"materialization is limited to h <= {_MAX_INTERIOR_ENUM}; "
-            "use interior_count for totals"
-        )
+    limits.INTERIOR_HEIGHT.check(h)
     if h <= 3:
         return tuple(
             t
@@ -232,9 +226,6 @@ def interior_count(h: int) -> int:
     return interior_count(h - 1) * interior_count(h - 2)
 
 
-_MAX_FIBONACCI_INDEX = 25
-
-
 @lru_cache(maxsize=None)
 def fibonacci_tree(i: int) -> BinaryTree:
     """The i-th Fibonacci tree: two empty seeds, then left-biased sums.
@@ -243,8 +234,7 @@ def fibonacci_tree(i: int) -> BinaryTree:
     """
     if i < 0:
         raise ValueError("index must be nonnegative")
-    if i > _MAX_FIBONACCI_INDEX:
-        raise ValueError(f"index is limited to {_MAX_FIBONACCI_INDEX}")
+    limits.FIBONACCI_INDEX.check(i)
     if i <= 1:
         return LEAF
     return node(fibonacci_tree(i - 1), fibonacci_tree(i - 2))

@@ -23,6 +23,7 @@ from functools import lru_cache
 from operator import le
 from typing import Iterable, Iterator
 
+from . import limits
 from .trees import (
     BinaryTree,
     all_trees,
@@ -118,6 +119,10 @@ def covers(t: BinaryTree) -> tuple[BinaryTree, ...]:
     return tuple(right_rotation(t, rank) for rank in rotation_ranks(t))
 
 
+def _size_mismatch(n0: int, n1: int) -> ValueError:
+    return ValueError(f"cannot compare trees with {n0} and {n1} nodes")
+
+
 def tamari_leq(t0: BinaryTree, t1: BinaryTree) -> bool:
     """Whether ``t0 <= t1`` in the rotation order.
 
@@ -125,9 +130,7 @@ def tamari_leq(t0: BinaryTree, t1: BinaryTree) -> bool:
     compared entrywise.
     """
     if t0.node_count != t1.node_count:
-        raise ValueError(
-            f"cannot compare trees with {t0.node_count} and {t1.node_count} nodes"
-        )
+        raise _size_mismatch(t0.node_count, t1.node_count)
     return all(map(le, bracket_vector(t0), bracket_vector(t1)))
 
 
@@ -140,17 +143,21 @@ def comparable_pairs(
     it come in their own order, picked by ANDing one mask per vector entry
     from an index over the uppers (dominance counting after Bentley,
     1980).  The index is built when the first lower arrives.  A tree of
-    another size than the uppers raises :class:`ValueError`.
+    another size than the first upper raises :class:`ValueError` naming
+    both sizes.
     """
     uppers = tuple(uppers)
     if not uppers:
         return
+    size = uppers[0].node_count
     at_least: list[list[int]] | None = None
     for lower in lowers:
+        if lower.node_count != size:
+            raise _size_mismatch(lower.node_count, size)
         if at_least is None:
             at_least = _dominance_index(uppers)
         above = (1 << len(uppers)) - 1
-        for row, entry in zip(at_least, bracket_vector(lower), strict=True):
+        for row, entry in zip(at_least, bracket_vector(lower)):
             above &= row[entry]
         for i in mask_indices(above):
             yield lower, uppers[i]
@@ -165,7 +172,9 @@ def _dominance_index(trees: tuple[BinaryTree, ...]) -> list[list[int]]:
     size = trees[0].node_count
     index = [[0] * (size + 1) for _ in range(size)]
     for bit, t in enumerate(trees):
-        for row, entry in zip(index, bracket_vector(t), strict=True):
+        if t.node_count != size:
+            raise _size_mismatch(size, t.node_count)
+        for row, entry in zip(index, bracket_vector(t)):
             row[entry] |= 1 << bit
     for row in index:
         for x in reversed(range(size)):
@@ -306,20 +315,16 @@ def mask_indices(mask: int) -> list[int]:
     return out
 
 
-_POSET_NODE_LIMIT = 14
-
-
 @lru_cache(maxsize=3)
 def tamari_poset(n: int) -> TamariPoset:
     """Materialized rotation order on all trees with ``n`` nodes.
 
-    Guarded at ``n <= 14``; beyond that the Catalan growth makes the
-    materialized poset unreasonable.
+    Capped by :data:`limits.TAMARI_POSET`: the Catalan growth makes the
+    materialized poset unreasonable beyond it.
     """
     if n < 0:
         raise ValueError("node count must be nonnegative")
-    if n > _POSET_NODE_LIMIT:
-        raise ValueError(f"poset materialization capped at {_POSET_NODE_LIMIT} nodes")
+    limits.TAMARI_POSET.check(n)
     return TamariPoset(n)
 
 

@@ -11,14 +11,17 @@ node is the height of its right subtree minus the height of its left
 subtree.
 
 Trees are hash-consed: every constructor in this module routes through
-:func:`node`, so structurally equal trees built here are the same object
-and equality is cheap.  Instances are immutable and safe to share.
+:func:`node`, so structurally equal trees are the same object and
+equality is identity; the hash stays structural, so set orders do not
+depend on addresses.  Instances are immutable and safe to share.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterator
+
+from . import limits
 
 
 class TreeParseError(ValueError):
@@ -63,32 +66,6 @@ class BinaryTree:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, BinaryTree):
-            return NotImplemented
-        if (
-            self._hash != other._hash
-            or self.node_count != other.node_count
-            or self.height != other.height
-        ):
-            return False
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if a.left is None or b.left is None:
-                if (a.left is None) != (b.left is None):
-                    return False
-                continue
-            if a._hash != b._hash or a.node_count != b.node_count:
-                return False
-            stack.append((a.left, b.left))
-            stack.append((a.right, b.right))
-        return True
 
     def __repr__(self) -> str:
         return f"parse({serialize(self)!r})"
@@ -307,20 +284,16 @@ def nar(t: BinaryTree) -> int:
     return sum(1 for _, sub in iter_subtrees(t) if sub.right.node_count)
 
 
-_MAX_ENUM_NODES = 16
-
-
 @lru_cache(maxsize=None)
 def all_trees(n: int) -> tuple[BinaryTree, ...]:
     """All trees with ``n`` nodes, in a fixed deterministic order.
 
     Subtrees are shared across the memoized tables, so enumerating up to
-    moderate sizes is cheap; ``n`` is capped to keep memory sane.
+    moderate sizes is cheap; ``n`` is capped by :data:`limits.ALL_TREES`.
     """
     if n < 0:
         raise ValueError("node count must be nonnegative")
-    if n > _MAX_ENUM_NODES:
-        raise ValueError(f"refusing to enumerate more than {_MAX_ENUM_NODES} nodes")
+    limits.ALL_TREES.check(n)
     if n == 0:
         return (LEAF,)
     return tuple(

@@ -1,10 +1,11 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
-from tamari_balance import cli, fixtures, intervals
+from tamari_balance import cli, fixtures, intervals, limits
 from tamari_balance.cli import SequenceReport, main, run_enum
 from tamari_balance.polynomials import Polynomial
 
@@ -163,6 +164,23 @@ class TestEnum:
     def test_run_enum_defaults(self):
         report = run_enum("interior-by-height")
         assert report.indices == tuple(range(13))
+        assert report.ok
+
+    @pytest.mark.parametrize("family", sorted(cli._FAMILIES))
+    def test_default_is_the_whole_reference_range(self, monkeypatch, family):
+        spec = cli._FAMILIES[family]
+        asked = []
+
+        def compute(max_n):
+            asked.append(max_n)
+            return spec.expected[: max_n + 1]
+
+        monkeypatch.setitem(
+            cli._FAMILIES, family, dataclasses.replace(spec, compute=compute)
+        )
+        report = run_enum(family)
+        assert asked == [len(spec.expected) - 1]
+        assert report.indices == tuple(range(len(spec.expected)))
         assert report.ok
 
 
@@ -353,6 +371,33 @@ class TestCheck:
         assert code == 0
         assert payload["verdict"] == "PASS"
         assert pools == [4]
+
+    @pytest.mark.parametrize(
+        "prop, worker, outcome",
+        [
+            ("closure-balanced", "_closure_at", None),
+            (
+                "hypercube",
+                "_hypercube_at",
+                {"trees": 1, "intervals": 1, "dimensions": [], "failing": None},
+            ),
+        ],
+    )
+    def test_default_sweeps_to_the_bound(
+        self, capsys, monkeypatch, prop, worker, outcome
+    ):
+        swept = []
+
+        def stub(task):
+            swept.append(task)
+            return outcome
+
+        monkeypatch.setattr(cli, worker, stub)
+        code, payload = run_json(capsys, "check", prop)
+        assert code == 0
+        assert payload["max_n"] == limits.CHECK_SWEEP.bound
+        sizes = [task[0] if isinstance(task, tuple) else task for task in swept]
+        assert sizes == list(range(limits.CHECK_SWEEP.bound + 1))
 
     def test_unknown_property(self, capsys):
         code, _, err = run(capsys, "check", "associativity")

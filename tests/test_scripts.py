@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from tamari_balance import limits
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -43,3 +47,17 @@ def test_zero_beta_experiment_json():
     payload = json.loads(result.stdout)
     assert payload["max_n"] == 6
     assert [trial["beta"] for trial in payload["trials"]] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "name, row",
+    [
+        ("export_hasse_gallery.py", limits.HASSE_BALANCED),
+        ("zero_beta_experiment.py", limits.IMBALANCE_FAMILY),
+    ],
+)
+def test_script_rejects_one_past_its_row(name, row):
+    result = run_script(name, "--max-n", str(row.bound + 1))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"error: --max-n must lie in 0..{row.bound}\n")

@@ -271,9 +271,9 @@ def test_comparable_pairs_edge_cases():
 
 
 def test_comparable_pairs_reject_other_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot compare trees with 1 and 3 nodes"):
         list(comparable_pairs([parse("(..)")], all_trees(3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot compare trees with 3 and 2 nodes"):
         list(comparable_pairs(all_trees(3), all_trees(3) + all_trees(2)))
 
 
