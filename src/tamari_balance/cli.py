@@ -43,7 +43,14 @@ from .families import (
     narayana_row,
     weight_balanced_count,
 )
-from .grammars import GrammarError, builtin_grammar, builtin_names, parse_grammar, series
+from .grammars import (
+    GrammarError,
+    builtin_grammar,
+    builtin_names,
+    counting_series,
+    parse_grammar,
+    series,
+)
 from .intervals import (
     CrossCheckError,
     balanced_subposet,
@@ -121,54 +128,48 @@ class SequenceReport:
         }
 
 
-def _balanced_counts(max_n: int) -> tuple[int, ...]:
-    poly = series(builtin_grammar("bal"), max_n + 1).specialize({"y": 0})
-    out = []
-    for n in range(max_n + 1):
-        count = poly.coefficient({"x": n + 1})
-        if n <= limits.ENUM_CROSS_CHECK.bound:
-            enumerated = len(balanced_trees(n))
-            if enumerated != count:
-                raise CrossCheckError(
-                    f"balanced routes disagree at n={n}",
-                    ("enumeration", "series"),
-                    (enumerated, count),
-                )
-        out.append(count)
-    return tuple(out)
+@dataclass(frozen=True)
+class _SeriesCounts:
+    """A family's counts read off a grammar's counting series.
+
+    The count at size ``n`` is the ``x^(n+1)`` coefficient; up to
+    ``row``'s bound each one is cross-checked by the family's brute
+    route, ``brute``, named ``brute_route`` in a disagreement.
+    """
+
+    grammar: str
+    what: str
+    brute_route: str
+    brute: Callable[[int], int]
+    row: limits.Limit
+
+    def __call__(self, max_n: int) -> tuple[int, ...]:
+        poly = counting_series(builtin_grammar(self.grammar), max_n + 1)
+        out = []
+        for n in range(max_n + 1):
+            count = poly.coefficient({"x": n + 1})
+            if n <= self.row.bound:
+                brute = self.brute(n)
+                if brute != count:
+                    raise CrossCheckError(
+                        f"{self.what} routes disagree at n={n}",
+                        (self.brute_route, "series"),
+                        (brute, count),
+                    )
+            out.append(count)
+        return tuple(out)
 
 
-def _maximal_balanced_counts(max_n: int) -> tuple[int, ...]:
-    poly = series(builtin_grammar("max"), max_n + 1).specialize({"y": 0, "z": 0})
-    out = []
-    for n in range(max_n + 1):
-        count = poly.coefficient({"x": n + 1})
-        if n <= limits.ENUM_CROSS_CHECK.bound:
-            brute = sum(
-                1
-                for t in balanced_trees(n)
-                if BalanceFlag.MAXIMAL_RIGHT in classify_balanced(t)
-            )
-            if brute != count:
-                raise CrossCheckError(
-                    f"maximal routes disagree at n={n}",
-                    ("brute", "series"),
-                    (brute, count),
-                )
-        out.append(count)
-    return tuple(out)
+def _enumerated_balanced(n: int) -> int:
+    return len(balanced_trees(n))
 
 
-# The interval counters run from the largest size down: the grammar
-# series computed for it answers every smaller size.
-def _interval_counts(max_n: int) -> tuple[int, ...]:
-    counts = [count_balanced_intervals(n) for n in range(max_n, -1, -1)]
-    return tuple(reversed(counts))
-
-
-def _maximal_interval_counts(max_n: int) -> tuple[int, ...]:
-    counts = [count_maximal_balanced_intervals(n) for n in range(max_n, -1, -1)]
-    return tuple(reversed(counts))
+def _maximal_balanced(n: int) -> int:
+    return sum(
+        1
+        for t in balanced_trees(n)
+        if BalanceFlag.MAXIMAL_RIGHT in classify_balanced(t)
+    )
 
 
 def _interior_counts(max_h: int) -> tuple[int, ...]:
@@ -195,22 +196,37 @@ class _Family:
         return len(self.expected) - 1
 
 
-# The interval families check their references only as far as the brute
-# route that cross-checks each series value runs.
 _FAMILIES: dict[str, _Family] = {
-    "balanced": _Family("n", tuple(fixtures.BALANCED_COUNTS), _balanced_counts),
+    "balanced": _Family(
+        "n",
+        tuple(fixtures.BALANCED_COUNTS),
+        _SeriesCounts(
+            "bal", "balanced", "enumeration", _enumerated_balanced,
+            limits.ENUM_CROSS_CHECK,
+        ),
+    ),
     "maximal-balanced": _Family(
-        "n", tuple(fixtures.MAXIMAL_BALANCED_COUNTS), _maximal_balanced_counts
+        "n",
+        tuple(fixtures.MAXIMAL_BALANCED_COUNTS),
+        _SeriesCounts(
+            "max", "maximal", "brute", _maximal_balanced, limits.ENUM_CROSS_CHECK
+        ),
     ),
     "balanced-intervals": _Family(
         "n",
-        tuple(fixtures.BALANCED_INTERVAL_COUNTS[: limits.BRUTE_INTERVALS.bound + 1]),
-        _interval_counts,
+        tuple(fixtures.BALANCED_INTERVAL_COUNTS),
+        _SeriesCounts(
+            "bi", "balanced interval", "brute", count_balanced_intervals,
+            limits.BRUTE_INTERVALS,
+        ),
     ),
     "maximal-intervals": _Family(
         "n",
-        tuple(fixtures.MAXIMAL_INTERVAL_COUNTS[: limits.BRUTE_INTERVALS.bound + 1]),
-        _maximal_interval_counts,
+        tuple(fixtures.MAXIMAL_INTERVAL_COUNTS),
+        _SeriesCounts(
+            "mbi", "maximal interval", "brute", count_maximal_balanced_intervals,
+            limits.BRUTE_INTERVALS,
+        ),
     ),
     "interior-by-height": _Family(
         "h", tuple(fixtures.INTERIOR_BY_HEIGHT), _interior_counts

@@ -7,7 +7,15 @@ in exactly ``k`` steps gives the k-th iterate of the grammar's
 substitution polynomials.  When the grammar carries a strictness
 certificate, iterating the substitution with truncation computes the
 generating series of the produced tree family up to any degree.
-:func:`series` and :func:`iterates` share one engine on exponent tuples.
+
+One engine on exponent tuples serves :func:`series`, :func:`iterates`
+and :func:`counting_series`: the grammar's fixed-point equation, read as
+an iteration.  Each step rewrites every bud at once, as the sum over its
+rules of the marker times the product of the previous step's values of
+the buds on the rule's frontier.  Started with every bud as itself, the
+k-th step is the k-th substitution iterate; started with every bud but
+the axiom at 0, it is that iterate at that point, whose ``x^(n+1)``
+coefficients are the counts the library checks.
 
 Rules may tag internal nodes with integer labels and a marked flag, and
 may attach a marker variable that multiplies into the series without
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 from operator import add
@@ -290,20 +298,14 @@ def check_unambiguous(g: SynchronousGrammar) -> bool:
     return True
 
 
-def _exponent_key(
-    mono: Monomial, index: dict[str, int], width: int, counting: int
-) -> tuple[int, ...]:
-    key = [0] * (width + 1)
-    for var, exp in mono.pairs:
-        key[index[var] + 1] = exp
-    key[0] = sum(key[1 : counting + 1])
-    return tuple(key)
+_Items = Iterable[tuple[tuple[int, ...], int]]
+_Terms = list[tuple[tuple[int, ...], int]]
 
 
 def _multiply_into(
     out: dict[tuple[int, ...], int],
-    left: Iterable[tuple[tuple[int, ...], int]],
-    right: list[tuple[tuple[int, ...], int]],
+    left: _Items,
+    right: _Terms,
     cut: float,
 ) -> None:
     """Add ``left * right`` into ``out``, skipping terms above degree ``cut``.
@@ -321,68 +323,73 @@ def _multiply_into(
 
 
 def _substitution_iterates(
-    g: SynchronousGrammar, cut: float
-) -> Iterator[dict[tuple[int, ...], int]]:
-    """The iterates ``S^(0), S^(1), ...`` as exponent-tuple dicts.
+    g: SynchronousGrammar, cut: float, start: Iterable[str]
+) -> Iterator[list[_Terms]]:
+    """The fixed-point iterates ``Q_0, Q_1, ...``, one term list per bud.
+
+    ``Q_0(b)`` is the variable ``b`` for a bud in ``start`` and 0 for the
+    others.  ``Q_k(b)`` sums, over the rules of ``b``, the rule's marker
+    times the product of ``Q_(k-1)(c)`` over the buds ``c`` on its
+    frontier.  With every bud started, ``Q_k(b)`` is the k-th
+    substitution iterate of ``b``; with only the axiom started, it is
+    that iterate with every other bud set to 0.
 
     A term's key is ``(d, e_1, .., e_w)`` with ``e`` its exponents over
     the buds then the markers of ``g`` and ``d`` its counting degree (the
-    bud exponents' sum).  Each iterate is the previous one with every
-    variable replaced by sigma(v): the rule-evaluation sum for a bud, the
-    variable itself for a marker.  Terms of degree above ``cut`` are
-    dropped inside every multiply, which is exact: no factor has negative
-    degree, so a dropped partial product has no completion within
-    ``cut``.  ``sigma(v)^k`` is built once per variable and power.
+    bud exponents' sum); every term list is sorted, so by degree.  Terms
+    of degree above ``cut`` are dropped inside every multiply, which is
+    exact: no factor has negative degree, so a dropped partial product
+    has no completion within ``cut``.  Rules share frontiers, so each
+    multiset of factors is multiplied out once per step.
     """
     order = (*g.buds, *g.markers)
-    width = len(order)
-    counting = len(g.buds)
     index = {var: i for i, var in enumerate(order)}
-    unit = [((0,) * (width + 1), 1)]
-    powers = []
-    for var in order:
-        if var in g.buds:
-            sigma = substitution_polynomial(g, var)
-        else:
-            sigma = Polynomial.variable(var, g.markers)
-        terms = {_exponent_key(m, index, width, counting): c for m, c in sigma.items()}
-        powers.append([unit, sorted(terms.items())])
 
-    def power(i: int, exp: int) -> list[tuple[tuple[int, ...], int]]:
-        table = powers[i]
-        while len(table) <= exp:
-            nxt: dict[tuple[int, ...], int] = {}
-            _multiply_into(nxt, table[-1], table[1], cut)
-            table.append(sorted(nxt.items()))
-        return table[exp]
+    def variable(var: str) -> _Terms:
+        key = [0] * (len(order) + 1)
+        key[0] = int(var in g.buds)
+        key[index[var] + 1] = 1
+        return [(tuple(key), 1)] if key[0] <= cut else []
 
-    axiom = [0] * (width + 1)
-    axiom[0] = axiom[index[g.axiom] + 1] = 1
-    current = {tuple(axiom): 1} if cut >= 1 else {}
+    def factors(rule: Rule) -> tuple[int, ...]:
+        names = frontier(rule.tree) + ((rule.marker,) if rule.marker else ())
+        return tuple(sorted(index[var] for var in names))
+
+    rules = [[factors(r) for r in g.rules_for(bud)] for bud in g.buds]
+    unit = [((0,) * (len(order) + 1), 1)]
+    markers = [variable(m) for m in g.markers]
+    live = set(start)
+    current = [variable(b) if b in live else [] for b in g.buds]
     while True:
         yield current
-        nxt: dict[tuple[int, ...], int] = {}
-        for key, coeff in current.items():
-            *inner, last = [
-                power(i, exp) for i, exp in enumerate(key[1:]) if exp
-            ] or [unit]
-            partial: Iterable[tuple[tuple[int, ...], int]] = ((unit[0][0], coeff),)
-            for factor in inner:
-                step: dict[tuple[int, ...], int] = {}
-                _multiply_into(step, partial, factor, cut)
-                partial = step.items()
-            _multiply_into(nxt, partial, last, cut)
+        values = current + markers
+        products: dict[tuple[int, ...], _Items] = {(): unit}
+
+        def product(key: tuple[int, ...]) -> _Items:
+            if len(key) == 1:
+                return values[key[0]]
+            if key not in products:
+                out: dict[tuple[int, ...], int] = {}
+                _multiply_into(out, product(key[:-1]), values[key[-1]], cut)
+                products[key] = out.items()
+            return products[key]
+
+        nxt = []
+        for bud_rules in rules:
+            total: dict[tuple[int, ...], int] = {}
+            for key in bud_rules:
+                for term, coeff in product(key):
+                    total[term] = total.get(term, 0) + coeff
+            nxt.append(sorted(total.items()))
         current = nxt
 
 
-def _to_polynomial(
-    g: SynchronousGrammar, terms: dict[tuple[int, ...], int]
-) -> Polynomial:
+def _to_polynomial(g: SynchronousGrammar, terms: _Items) -> Polynomial:
     """Exponent-tuple terms as a :class:`Polynomial`, merges applied."""
     renames = dict(g.merges)
     names = [renames.get(var, var) for var in (*g.buds, *g.markers)]
     out: dict[Monomial, int] = {}
-    for key, coeff in terms.items():
+    for key, coeff in terms:
         exps: dict[str, int] = {}
         for name, exp in zip(names, key[1:]):
             if exp:
@@ -402,8 +409,9 @@ def iterates(g: SynchronousGrammar, count: int) -> list[Polynomial]:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    steps = _substitution_iterates(g, math.inf)
-    return [_to_polynomial(g, next(steps)) for _ in range(count + 1)]
+    axiom = g.buds.index(g.axiom)
+    steps = _substitution_iterates(g, math.inf, g.buds)
+    return [_to_polynomial(g, next(steps)[axiom]) for _ in range(count + 1)]
 
 
 def iterate_sum(g: SynchronousGrammar, count: int) -> Polynomial:
@@ -414,29 +422,56 @@ def iterate_sum(g: SynchronousGrammar, count: int) -> Polynomial:
     return total
 
 
-def series(g: SynchronousGrammar, max_degree: int) -> Polynomial:
-    """Generating series of the grammar, truncated at ``max_degree``.
+def _summed_iterates(
+    g: SynchronousGrammar, max_degree: int, start: Iterable[str]
+) -> dict[tuple[int, ...], int]:
+    """Sum of the axiom's iterates ``Q_k(axiom)`` cut at ``max_degree``.
 
-    Sums the substitution iterates, each truncated at ``max_degree``,
-    until one vanishes.  The iterates live in dicts keyed by exponent
-    tuples, every multiply drops the terms above ``max_degree`` as it
-    goes, and the sum becomes a :class:`Polynomial` once, with the
-    presentation renames applied.  Requires a strictness certificate:
-    without it the iteration need not terminate, and
-    :class:`CertificateError` is raised up front.
+    Stops once every bud's iterate is empty: with only the axiom started,
+    the axiom's iterate can be empty at one step and not at the next.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     if not check_strict(g):
         raise CertificateError("grammar carries no strictness certificate")
+    axiom = g.buds.index(g.axiom)
     total: dict[tuple[int, ...], int] = {}
     limit = (max_degree + 2) * (len(g.buds) + 1)
-    for _, current in zip(range(limit), _substitution_iterates(g, max_degree)):
-        if not current:
-            return _to_polynomial(g, total)
-        for key, coeff in current.items():
+    for _, current in zip(range(limit), _substitution_iterates(g, max_degree, start)):
+        if not any(current):
+            return total
+        for key, coeff in current[axiom]:
             total[key] = total.get(key, 0) + coeff
     raise AssertionError("certified series iteration failed to terminate")
+
+
+def series(g: SynchronousGrammar, max_degree: int) -> Polynomial:
+    """Generating series of the grammar, truncated at ``max_degree``.
+
+    Sums the substitution iterates of the axiom, each truncated at
+    ``max_degree``, every bud started as itself.  The iterates live in
+    lists keyed by exponent tuples, every multiply drops the terms above
+    ``max_degree`` as it goes, and the sum becomes a :class:`Polynomial`
+    once, with the presentation renames applied.  Requires a strictness
+    certificate: without it the iteration need not terminate, and
+    :class:`CertificateError` is raised up front.
+    """
+    return _to_polynomial(g, _summed_iterates(g, max_degree, g.buds).items())
+
+
+def counting_series(g: SynchronousGrammar, max_degree: int) -> Polynomial:
+    """The series with every bud but the axiom set to 0, markers kept.
+
+    Equals ``series(g, max_degree)`` specialized at 0 on every other bud,
+    but starts the iteration at that point, so each iterate is a
+    polynomial in the axiom and the markers alone.  Presentation renames
+    are not applied: the one bud left is the axiom, under its own name.
+    For the builtin grammars, the ``x^(n+1)`` coefficients are the counts
+    the library checks.  Requires a strictness certificate, as
+    :func:`series` does.
+    """
+    terms = _summed_iterates(g, max_degree, (g.axiom,))
+    return _to_polynomial(replace(g, merges=()), terms.items())
 
 
 def _node(label, *children, marked=False) -> BudNode:

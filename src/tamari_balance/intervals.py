@@ -6,8 +6,9 @@ rotations at those roots commute, and applying an arbitrary subset gives
 the elements of the interval.  This module computes the root sets,
 verifies the hypercube isomorphism explicitly, counts balanced and
 maximal balanced intervals along two independent routes (brute force
-over the balanced trees and grammar series), and builds the balanced
-subposet.
+over the balanced trees, and the counting series of the ``bi``, ``mbi``
+and ``mbi_xi`` grammars from :func:`.grammars.counting_series`), and
+builds the balanced subposet.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .balance import RotationKind, classify_rotation, balanced_trees, is_balanced
-from .grammars import builtin_grammar, series
+from .grammars import builtin_grammar, counting_series
 from .patterns import BalanceFlag, classify_balanced
 from .polynomials import Monomial, Polynomial
 from .tamari import (
@@ -158,28 +159,6 @@ def hypercube_histogram(n: int) -> dict[int, int]:
     return dict(sorted(histogram.items()))
 
 
-_SPECIALIZED: dict[str, tuple[int, Polynomial]] = {}
-
-
-def _specialized_series(name: str, max_degree: int) -> Polynomial:
-    """Grammar series with the auxiliary variables switched off.
-
-    One series is kept per grammar, the one of the highest degree asked
-    for so far.  A truncated series is exact up to its degree, so it
-    answers any lower degree; the result may hold terms above
-    ``max_degree``.
-    """
-    kept = _SPECIALIZED.get(name)
-    if kept is not None and kept[0] >= max_degree:
-        return kept[1]
-    full = series(builtin_grammar(name), max_degree)
-    keep = {"x"} | full.markers
-    zeros = {v: 0 for v in full.variables() - keep}
-    specialized = full.specialize(zeros)
-    _SPECIALIZED[name] = (max_degree, specialized)
-    return specialized
-
-
 def count_balanced_intervals(n: int) -> int:
     """Number of comparable balanced pairs at size ``n``.
 
@@ -189,7 +168,8 @@ def count_balanced_intervals(n: int) -> int:
     """
     trees = balanced_trees(n)
     brute = sum(1 for _ in comparable_pairs(trees, trees))
-    via_grammar = _specialized_series("bi", n + 1).coefficient({"x": n + 1})
+    bi = counting_series(builtin_grammar("bi"), n + 1)
+    via_grammar = bi.coefficient({"x": n + 1})
     if brute != via_grammar:
         raise CrossCheckError(
             f"balanced interval routes disagree at n={n}",
@@ -220,7 +200,8 @@ def count_maximal_balanced_intervals(
     pairs = _maximal_interval_pairs(n)
     if not by_dimension:
         brute = len(pairs)
-        via_grammar = _specialized_series("mbi", n + 1).coefficient({"x": n + 1})
+        mbi = counting_series(builtin_grammar("mbi"), n + 1)
+        via_grammar = mbi.coefficient({"x": n + 1})
         if brute != via_grammar:
             raise CrossCheckError(
                 f"maximal interval routes disagree at n={n}",
@@ -236,7 +217,7 @@ def count_maximal_balanced_intervals(
         {Monomial({"xi": k} if k else {}): c for k, c in counts.items()},
         markers=("xi",),
     )
-    refined = _specialized_series("mbi_xi", n + 1)
+    refined = counting_series(builtin_grammar("mbi_xi"), n + 1)
     via_grammar = Polynomial(
         {
             mono.without("x"): coeff

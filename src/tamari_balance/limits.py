@@ -31,12 +31,12 @@ class Limit:
 
 # Library enumerations.
 ALL_TREES = Limit(
-    16, "all_trees node count",
-    "all_trees(13) holds 742,900 trees in about 300 MB; n=16 holds 35,357,670",
+    13, "all_trees node count",
+    "all_trees(13) takes 3.3-3.7 s and 316 MB; n=14 would take about 1 GB",
 )
 TAMARI_POSET = Limit(
-    14, "tamari_poset node count",
-    "tamari_poset(11) takes 1.8 s and 50 MB, growing about 3.5x per node",
+    12, "tamari_poset node count",
+    "tamari_poset(12) takes 5.6-8.4 s and 144 MB, growing about 3x per node",
 )
 IMBALANCE_FAMILY = Limit(
     26, "imbalance_family node count",
@@ -65,7 +65,7 @@ ENUM_CROSS_CHECK = Limit(
     "classifying the 60 balanced trees at n=10 takes 2 ms; n=19 alone takes 0.5 s",
 )
 BRUTE_INTERVALS = Limit(
-    19, "brute-force interval count size",
+    19, "brute-force interval cross-check size",
     "the brute route takes about 1 s to n=19, 4 s at n=22 and 191 s at n=25",
 )
 CHECK_SWEEP = Limit(

@@ -120,9 +120,13 @@ class TestEnum:
         assert "no reference values" in err
 
     def test_route_disagreement_is_a_fail(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            intervals, "_specialized_series", lambda name, degree: Polynomial()
-        )
+        real = intervals.counting_series
+
+        def wrong_at_three(g, max_degree):
+            poly = real(g, max_degree)
+            return poly - poly.coefficient({"x": 4}) * Polynomial.variable("x") ** 4
+
+        monkeypatch.setattr(intervals, "counting_series", wrong_at_three)
         code, out, err = run(capsys, "enum", "balanced-intervals", "--max-n", "3")
         assert code == 1
         assert out == ""

@@ -16,6 +16,7 @@ from tamari_balance.grammars import (
     builtin_names,
     check_strict,
     check_unambiguous,
+    counting_series,
     derive_all,
     evaluation,
     frontier,
@@ -629,6 +630,45 @@ class TestEngineAgainstReference:
         assert not check_strict(g)
         for got, want in zip(iterates(g, 3), _reference_iterates(g, 3)):
             assert _same(got, want)
+
+
+def _point_reference(g, max_degree):
+    """``series`` of the merge-free grammar, every bud but the axiom at 0."""
+    plain = SynchronousGrammar(g.buds, g.axiom, g.rules, g.markers)
+    zeros = {bud: 0 for bud in g.buds if bud != g.axiom}
+    return series(plain, max_degree).specialize(zeros)
+
+
+class TestCountingSeries:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(strict_grammars(), st.integers(0, 9))
+    def test_generated_grammars(self, g, degree):
+        assert _same(counting_series(g, degree), _point_reference(g, degree))
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtins(self, name):
+        g = builtin_grammar(name)
+        for degree in range(13):
+            assert _same(counting_series(g, degree), _point_reference(g, degree))
+
+    def test_axiom_iterate_can_vanish_and_return(self):
+        g = parse_grammar("buds: x y\naxiom: x\nx -> [<y>]\ny -> [<x> <x>]\n")
+        assert counting_series(g, 6) == poly(
+            {(("x", 1),): 1, (("x", 2),): 1, (("x", 4),): 1}
+        )
+
+    def test_requires_certificate(self):
+        g = parse_grammar("buds: x\naxiom: x\nx -> [<x> <x>] | []\n")
+        with pytest.raises(CertificateError):
+            counting_series(g, 4)
+
+    def test_degree_must_be_nonnegative(self):
+        with pytest.raises(ValueError):
+            counting_series(builtin_grammar("bal"), -1)
 
 
 class TestGrammarFiles:

@@ -155,7 +155,12 @@ class TestIntervalCounts:
                 "from tamari_balance import balance, intervals",
                 "from tamari_balance.polynomials import Polynomial",
                 "from tamari_balance.trees import parse",
-                "intervals._specialized_series = lambda name, degree: Polynomial()",
+                "real = intervals.counting_series",
+                "def wrong_at_four(g, max_degree):",
+                "    poly = real(g, max_degree)",
+                "    x5 = poly.coefficient({'x': 5}) * Polynomial.variable('x') ** 5",
+                "    return poly - x5",
+                "intervals.counting_series = wrong_at_four",
                 "balance._ROTATION_TABLE[(0, 0)] = (",
                 "    balance.RotationKind.SIMPLY_UNBALANCING, (9, 9)",
                 ")",

@@ -1,12 +1,12 @@
 """The size-bound table is what the library and the CLI enforce.
 
 No library function is called at or above its bound except to see it
-refuse: ``all_trees(16)`` alone is 35 million trees.
+refuse: ``all_trees(14)`` alone would take about 1 GB.
 """
 
 import pytest
 
-from tamari_balance import cli, limits
+from tamari_balance import cli, fixtures, intervals, limits
 from tamari_balance.balance import balanced_trees, balanced_trees_of_height
 from tamari_balance.cli import main
 from tamari_balance.families import (
@@ -55,47 +55,48 @@ def _widest_interval(past):
     return ["hasse", "interval", left_comb, right_comb]
 
 
-# Each command line rejects one past its row's bound; the message shows
-# the bound in the command's own words.
+# Each command line rejects one past its bound; the message shows the
+# bound in the command's own words.  The interval families of ``enum``
+# end at their reference range, not at a row.
 CLI_ROWS = [
     pytest.param(
-        limits.CHECK_SWEEP,
+        limits.CHECK_SWEEP.bound,
         _argv("check", "closure-balanced", "--max-n"),
         "--max-n must lie in 0..{bound}, got {past}",
         id="check-closure-balanced",
     ),
     pytest.param(
-        limits.CHECK_SWEEP,
+        limits.CHECK_SWEEP.bound,
         _argv("check", "hypercube", "--max-n"),
         "--max-n must lie in 0..{bound}, got {past}",
         id="check-hypercube",
     ),
     pytest.param(
-        limits.HASSE_TAMARI,
+        limits.HASSE_TAMARI.bound,
         _argv("hasse", "tamari"),
         "hasse tamari is capped at n={bound}, got {past}",
         id="hasse-tamari",
     ),
     pytest.param(
-        limits.HASSE_BALANCED,
+        limits.HASSE_BALANCED.bound,
         _argv("hasse", "balanced"),
         "hasse balanced is capped at n={bound}, got {past}",
         id="hasse-balanced",
     ),
     pytest.param(
-        limits.HASSE_INTERVAL,
+        limits.HASSE_INTERVAL.bound,
         _widest_interval,
         "hasse interval is capped at n={bound}, got {past}",
         id="hasse-interval",
     ),
     pytest.param(
-        limits.BRUTE_INTERVALS,
+        len(fixtures.BALANCED_INTERVAL_COUNTS) - 1,
         _argv("enum", "balanced-intervals", "--max-n"),
         "no reference values for balanced-intervals beyond n={bound}, got {past}",
         id="enum-balanced-intervals",
     ),
     pytest.param(
-        limits.BRUTE_INTERVALS,
+        len(fixtures.MAXIMAL_INTERVAL_COUNTS) - 1,
         _argv("enum", "maximal-intervals", "--max-n"),
         "no reference values for maximal-intervals beyond n={bound}, got {past}",
         id="enum-maximal-intervals",
@@ -103,26 +104,42 @@ CLI_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("row, argv, message", CLI_ROWS)
-def test_cli_rejects_one_past_its_row(capsys, row, argv, message):
-    past = row.bound + 1
+@pytest.mark.parametrize("bound, argv, message", CLI_ROWS)
+def test_cli_rejects_one_past_its_row(capsys, bound, argv, message):
+    past = bound + 1
     code = main(argv(past))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"error: {message.format(bound=row.bound, past=past)}\n"
+    assert captured.err == f"error: {message.format(bound=bound, past=past)}\n"
 
 
-@pytest.mark.parametrize(
-    "counts", [cli._balanced_counts, cli._maximal_balanced_counts]
-)
-def test_enumeration_cross_check_stops_at_its_row(monkeypatch, counts):
+# The brute route of each series-backed family enumerates balanced trees
+# in the module named here, once per size up to its row.
+CROSS_CHECKED = [
+    pytest.param("balanced", cli, limits.ENUM_CROSS_CHECK, id="balanced"),
+    pytest.param(
+        "maximal-balanced", cli, limits.ENUM_CROSS_CHECK, id="maximal-balanced"
+    ),
+    pytest.param(
+        "balanced-intervals", intervals, limits.BRUTE_INTERVALS,
+        id="balanced-intervals",
+    ),
+    pytest.param(
+        "maximal-intervals", intervals, limits.BRUTE_INTERVALS,
+        id="maximal-intervals",
+    ),
+]
+
+
+@pytest.mark.parametrize("family, module, row", CROSS_CHECKED)
+def test_enumeration_cross_check_stops_at_its_row(monkeypatch, family, module, row):
     enumerated = []
 
     def recording(n):
         enumerated.append(n)
         return balanced_trees(n)
 
-    monkeypatch.setattr(cli, "balanced_trees", recording)
-    counts(limits.ENUM_CROSS_CHECK.bound + 2)
-    assert enumerated == list(range(limits.ENUM_CROSS_CHECK.bound + 1))
+    monkeypatch.setattr(module, "balanced_trees", recording)
+    cli._FAMILIES[family].compute(row.bound + 2)
+    assert enumerated == list(range(row.bound + 1))
