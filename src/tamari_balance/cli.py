@@ -53,9 +53,9 @@ from .grammars import (
 )
 from .intervals import (
     CrossCheckError,
+    _balanced_pair_count,
+    _maximal_pair_count,
     balanced_subposet,
-    count_balanced_intervals,
-    count_maximal_balanced_intervals,
     verify_hypercube,
 )
 from .patterns import BalanceFlag, classify_balanced, interior_count
@@ -160,8 +160,9 @@ class _SeriesCounts:
         return tuple(out)
 
 
-def _enumerated_balanced(n: int) -> int:
-    return len(balanced_trees(n))
+def _family_size(*values: int) -> Callable[[int], int]:
+    allowed = ImbalanceSet.of(*values)
+    return lambda n: len(imbalance_family(n, allowed))
 
 
 def _maximal_balanced(n: int) -> int:
@@ -180,11 +181,6 @@ def _weight_balanced_counts(max_n: int) -> tuple[int, ...]:
     return tuple(weight_balanced_count(n) for n in range(max_n + 1))
 
 
-def _zero_one_counts(max_n: int) -> tuple[int, ...]:
-    allowed = ImbalanceSet.of(0, 1)
-    return tuple(len(imbalance_family(n, allowed)) for n in range(max_n + 1))
-
-
 @dataclass(frozen=True)
 class _Family:
     label: str
@@ -201,7 +197,7 @@ _FAMILIES: dict[str, _Family] = {
         "n",
         tuple(fixtures.BALANCED_COUNTS),
         _SeriesCounts(
-            "bal", "balanced", "enumeration", _enumerated_balanced,
+            "bal", "balanced", "enumeration", _family_size(-1, 0, 1),
             limits.ENUM_CROSS_CHECK,
         ),
     ),
@@ -216,7 +212,7 @@ _FAMILIES: dict[str, _Family] = {
         "n",
         tuple(fixtures.BALANCED_INTERVAL_COUNTS),
         _SeriesCounts(
-            "bi", "balanced interval", "brute", count_balanced_intervals,
+            "bi", "balanced interval", "brute", _balanced_pair_count,
             limits.BRUTE_INTERVALS,
         ),
     ),
@@ -224,7 +220,7 @@ _FAMILIES: dict[str, _Family] = {
         "n",
         tuple(fixtures.MAXIMAL_INTERVAL_COUNTS),
         _SeriesCounts(
-            "mbi", "maximal interval", "brute", count_maximal_balanced_intervals,
+            "mbi", "maximal interval", "brute", _maximal_pair_count,
             limits.BRUTE_INTERVALS,
         ),
     ),
@@ -235,7 +231,12 @@ _FAMILIES: dict[str, _Family] = {
         "n", tuple(fixtures.WEIGHT_BALANCED_COUNTS), _weight_balanced_counts
     ),
     "zero-one-balanced": _Family(
-        "n", tuple(fixtures.ZERO_ONE_BALANCED_COUNTS), _zero_one_counts
+        "n",
+        tuple(fixtures.ZERO_ONE_BALANCED_COUNTS),
+        _SeriesCounts(
+            "bal01", "zero-one balanced", "enumeration", _family_size(0, 1),
+            limits.ENUM_CROSS_CHECK,
+        ),
     ),
 }
 
@@ -329,6 +330,17 @@ def cmd_series(args: argparse.Namespace) -> int:
         grammar = parse_grammar(text)
         source = args.file
     assignments = _parse_assignments(args.set)
+    # The series' variables: the buds under their merged names, and the
+    # markers.  Specializing any other name would silently do nothing.
+    renames = dict(grammar.merges)
+    known = dict.fromkeys(
+        [*(renames.get(bud, bud) for bud in grammar.buds), *grammar.markers]
+    )
+    for name in assignments:
+        if name not in known:
+            raise UsageError(
+                f"unknown variable {name!r} in --set; choose from {', '.join(known)}"
+            )
     if args.degree < 0:
         raise UsageError(f"--degree must be nonnegative, got {args.degree}")
     poly = series(grammar, args.degree)

@@ -20,6 +20,12 @@ coefficients are the counts the library checks.
 Rules may tag internal nodes with integer labels and a marked flag, and
 may attach a marker variable that multiplies into the series without
 counting toward truncation degrees.
+
+:func:`imbalance_grammar` builds the grammar of the trees whose every
+imbalance lies in a finite set: a value ``v`` becomes a node whose
+shorter child is a bud delayed by ``|v|`` steps.  The builtins ``bal``
+and ``bal01`` are its ``{-1, 0, 1}`` and ``{0, 1}`` instances; the
+others are written out rule by rule.
 """
 
 from __future__ import annotations
@@ -103,13 +109,6 @@ def marked_count(tree: BudTree) -> int:
     if isinstance(tree, Bud):
         return 0
     return int(tree.marked) + sum(marked_count(c) for c in tree.children)
-
-
-def tree_size(tree: BudTree) -> int:
-    """Total number of nodes, buds included."""
-    if isinstance(tree, Bud):
-        return 1
-    return 1 + sum(tree_size(c) for c in tree.children)
 
 
 @dataclass(frozen=True)
@@ -474,6 +473,34 @@ def counting_series(g: SynchronousGrammar, max_degree: int) -> Polynomial:
     return _to_polynomial(replace(g, merges=()), terms.items())
 
 
+def imbalance_grammar(values: Iterable[int]) -> SynchronousGrammar:
+    """Grammar of the trees whose every imbalance lies in ``values``.
+
+    ``values`` is a finite set of integers containing 0.  With ``k`` the
+    largest ``|v|``, the buds are the axiom ``x`` and the delay buds
+    ``y``, ``y2`` .. ``yk``, with rules ``y -> <x>`` and
+    ``yi -> <y(i-1)>``: a delay bud of depth ``d`` becomes ``x`` after
+    ``d`` steps, so its subtree is ``d`` levels shorter than its sibling's.
+    Each value ``v``, in ascending order, gives one rule of ``x``: a
+    node labeled ``v`` whose lower child is the bud of depth ``|v|``
+    (``x`` itself for 0), on the right for ``v < 0`` and on the left
+    otherwise.  Raises :class:`GrammarError` when 0 is missing, since a
+    tree with at most one node has imbalance 0.
+    """
+    values = sorted(set(values))
+    if 0 not in values:
+        raise GrammarError(f"an imbalance set must contain 0, got {values}")
+    depth = max(-values[0], values[-1])
+    buds = ("x", "y", *(f"y{d}" for d in range(2, depth + 1)))
+    x = Bud("x")
+    rules = []
+    for v in values:
+        lower = Bud(buds[abs(v)])
+        rules.append(Rule("x", BudNode(v, (x, lower) if v < 0 else (lower, x))))
+    rules.extend(Rule(buds[d], Bud(buds[d - 1])) for d in range(1, depth + 1))
+    return SynchronousGrammar(buds=buds[: depth + 1], axiom="x", rules=tuple(rules))
+
+
 def _node(label, *children, marked=False) -> BudNode:
     return BudNode(label, tuple(children), marked)
 
@@ -507,17 +534,7 @@ def _builtins() -> dict[str, SynchronousGrammar]:
         ),
         name="bal23",
     )
-    table["bal"] = SynchronousGrammar(
-        buds=("x", "y"),
-        axiom="x",
-        rules=(
-            Rule("x", _node(-1, x, y)),
-            Rule("x", _node(0, x, x)),
-            Rule("x", _node(1, y, x)),
-            Rule("y", x),
-        ),
-        name="bal",
-    )
+    table["bal"] = replace(imbalance_grammar({-1, 0, 1}), name="bal")
     table["max"] = SynchronousGrammar(
         buds=("x", "y", "z"),
         axiom="x",
@@ -575,16 +592,7 @@ def _builtins() -> dict[str, SynchronousGrammar]:
         merges=(("u", "t"), ("v", "t")),
         name="mbi_xi",
     )
-    table["bal01"] = SynchronousGrammar(
-        buds=("x", "y"),
-        axiom="x",
-        rules=(
-            Rule("x", _node(0, x, x)),
-            Rule("x", _node(1, y, x)),
-            Rule("y", x),
-        ),
-        name="bal01",
-    )
+    table["bal01"] = replace(imbalance_grammar({0, 1}), name="bal01")
     return table
 
 

@@ -22,9 +22,9 @@ from .patterns import BalanceFlag, classify_balanced
 from .polynomials import Monomial, Polynomial
 from .tamari import (
     IncomparableError,
+    _interval_members,
     comparable_pairs,
     hasse_dot,
-    interval,
     right_rotation,
     rotation_ranks,
     tamari_leq,
@@ -138,7 +138,7 @@ def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
         trees.append(roots.apply(subset))
     if len(set(trees)) != 1 << k:
         return k, False
-    if set(trees) != set(interval(t0, t1)):
+    if set(trees) != _interval_members(t0, t1):
         return k, False
     contained = {
         (trees[lo], trees[hi])
@@ -166,8 +166,7 @@ def count_balanced_intervals(n: int) -> int:
     as a grammar series coefficient; the two must agree and the brute
     count is returned.
     """
-    trees = balanced_trees(n)
-    brute = sum(1 for _ in comparable_pairs(trees, trees))
+    brute = _balanced_pair_count(n)
     bi = counting_series(builtin_grammar("bi"), n + 1)
     via_grammar = bi.coefficient({"x": n + 1})
     if brute != via_grammar:
@@ -179,11 +178,22 @@ def count_balanced_intervals(n: int) -> int:
     return brute
 
 
+def _balanced_pair_count(n: int) -> int:
+    """Comparable balanced pairs at size ``n``, by brute force alone."""
+    trees = balanced_trees(n)
+    return sum(1 for _ in comparable_pairs(trees, trees))
+
+
 def _maximal_interval_pairs(n: int) -> list[tuple[BinaryTree, BinaryTree]]:
     flags = [(t, classify_balanced(t)) for t in balanced_trees(n)]
     lowers = [t for t, flag in flags if BalanceFlag.MINIMAL_LEFT in flag]
     uppers = [t for t, flag in flags if BalanceFlag.MAXIMAL_RIGHT in flag]
     return list(comparable_pairs(lowers, uppers))
+
+
+def _maximal_pair_count(n: int) -> int:
+    """Maximal balanced intervals at size ``n``, by brute force alone."""
+    return len(_maximal_interval_pairs(n))
 
 
 def count_maximal_balanced_intervals(
@@ -197,9 +207,8 @@ def count_maximal_balanced_intervals(
     ``xi^k`` coefficient counts the dimension-k intervals.  Both forms
     are cross-checked against the corresponding grammar series.
     """
-    pairs = _maximal_interval_pairs(n)
     if not by_dimension:
-        brute = len(pairs)
+        brute = _maximal_pair_count(n)
         mbi = counting_series(builtin_grammar("mbi"), n + 1)
         via_grammar = mbi.coefficient({"x": n + 1})
         if brute != via_grammar:
@@ -210,7 +219,7 @@ def count_maximal_balanced_intervals(
             )
         return brute
     counts: dict[int, int] = {}
-    for lower, upper in pairs:
+    for lower, upper in _maximal_interval_pairs(n):
         k = len(rotation_root_set(lower, upper).ranks)
         counts[k] = counts.get(k, 0) + 1
     brute_poly = Polynomial(

@@ -187,12 +187,19 @@ def interval(t0: BinaryTree, t1: BinaryTree) -> tuple[BinaryTree, ...]:
 
     Raises :class:`IncomparableError` when the endpoints are not ordered
     (so an unordered pair is distinguishable from a singleton interval).
+    """
+    if not tamari_leq(t0, t1):
+        raise IncomparableError(f"{serialize(t0)} is not below {serialize(t1)}")
+    return tuple(sorted(_interval_members(t0, t1), key=serialize))
+
+
+def _interval_members(t0: BinaryTree, t1: BinaryTree) -> set[BinaryTree]:
+    """The set of trees ``t`` with ``t0 <= t <= t1``, for ``t0 <= t1``.
+
     Every member lies on a chain of covers from ``t0`` that stays below
     ``t1``, so the walk keeps only covers whose vector stays at or below
     the vector of ``t1``.
     """
-    if not tamari_leq(t0, t1):
-        raise IncomparableError(f"{serialize(t0)} is not below {serialize(t1)}")
     upper = bracket_vector(t1)
     members = {t0}
     stack = [t0]
@@ -201,7 +208,7 @@ def interval(t0: BinaryTree, t1: BinaryTree) -> tuple[BinaryTree, ...]:
             if nxt not in members and all(map(le, bracket_vector(nxt), upper)):
                 members.add(nxt)
                 stack.append(nxt)
-    return tuple(sorted(members, key=serialize))
+    return members
 
 
 class TamariPoset:
@@ -288,9 +295,6 @@ class TamariPoset:
         for t in trees:
             mask |= 1 << self.index(t)
         return mask
-
-    def trees_of(self, mask: int) -> list[BinaryTree]:
-        return [self.elements[i] for i in mask_indices(mask)]
 
     def to_dot(self) -> str:
         """Hasse diagram in DOT format, nodes sorted by tree string."""

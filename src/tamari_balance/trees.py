@@ -60,10 +60,6 @@ class BinaryTree:
             self.height = 1 + max(left.height, right.height)
             self._hash = hash((left._hash, self.node_count, right._hash))
 
-    @property
-    def is_empty(self) -> bool:
-        return self.left is None
-
     def __hash__(self) -> int:
         return self._hash
 

@@ -120,13 +120,13 @@ class TestEnum:
         assert "no reference values" in err
 
     def test_route_disagreement_is_a_fail(self, capsys, monkeypatch):
-        real = intervals.counting_series
+        real = cli.counting_series
 
         def wrong_at_three(g, max_degree):
             poly = real(g, max_degree)
             return poly - poly.coefficient({"x": 4}) * Polynomial.variable("x") ** 4
 
-        monkeypatch.setattr(intervals, "counting_series", wrong_at_three)
+        monkeypatch.setattr(cli, "counting_series", wrong_at_three)
         code, out, err = run(capsys, "enum", "balanced-intervals", "--max-n", "3")
         assert code == 1
         assert out == ""
@@ -164,6 +164,18 @@ class TestEnum:
         assert code == 0
         assert err == ""
         assert out.splitlines()[-1] == "PASS (20/20 match)"
+
+    @pytest.mark.parametrize("family", ["balanced-intervals", "maximal-intervals"])
+    def test_default_interval_enum_builds_one_series(self, monkeypatch, family):
+        built = []
+        for module in (cli, intervals):
+            def recording(g, max_degree, real=module.counting_series):
+                built.append(g.name)
+                return real(g, max_degree)
+
+            monkeypatch.setattr(module, "counting_series", recording)
+        assert run_enum(family).ok
+        assert built == [cli._FAMILIES[family].compute.grammar]
 
     def test_run_enum_defaults(self):
         report = run_enum("interior-by-height")
@@ -287,6 +299,30 @@ class TestSeries:
         )
         assert code == 2
         assert "--set" in err
+
+    @pytest.mark.parametrize(
+        "builtin, name, known",
+        [("bal", "q", "x, y"), ("mbi", "u", "x, y, z, t")],
+        ids=["unknown", "merged-away"],
+    )
+    def test_assignment_to_a_missing_variable(self, capsys, builtin, name, known):
+        code, out, err = run(
+            capsys, "series", "--builtin", builtin, "--degree", "3",
+            "--set", f"{name}=0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: unknown variable {name!r} in --set; choose from {known}\n"
+        )
+
+    def test_marker_assignment(self, capsys):
+        code, payload = run_json(
+            capsys, "series", "--builtin", "mbi_xi", "--degree", "4",
+            "--set", "xi=1",
+        )
+        assert code == 0
+        assert payload["assignments"] == {"xi": 1}
 
     def test_nonstrict_file_refused(self, capsys, tmp_path):
         path = tmp_path / "loop.grammar"

@@ -21,6 +21,7 @@ from tamari_balance.grammars import (
     evaluation,
     frontier,
     generate,
+    imbalance_grammar,
     iterate_sum,
     iterates,
     marked_count,
@@ -30,6 +31,7 @@ from tamari_balance.grammars import (
     series,
     substitution_polynomial,
 )
+from tamari_balance.families import ImbalanceSet, imbalance_family
 from tamari_balance.fixtures import BALANCED_COUNTS
 from tamari_balance.polynomials import Monomial, Polynomial
 
@@ -669,6 +671,67 @@ class TestCountingSeries:
     def test_degree_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             counting_series(builtin_grammar("bal"), -1)
+
+
+class TestImbalanceGrammar:
+    @pytest.mark.parametrize(
+        "name, values, text",
+        [
+            (
+                "bal",
+                {-1, 0, 1},
+                "buds: x y\naxiom: x\ncounting: x y\n"
+                "x -> [-1 <x> <y>] | [0 <x> <x>] | [1 <y> <x>]\n"
+                "y -> <x>\n",
+            ),
+            (
+                "bal01",
+                {0, 1},
+                "buds: x y\naxiom: x\ncounting: x y\n"
+                "x -> [0 <x> <x>] | [1 <y> <x>]\n"
+                "y -> <x>\n",
+            ),
+        ],
+    )
+    def test_builtins_are_instances(self, name, values, text):
+        g = builtin_grammar(name)
+        assert g == imbalance_grammar(values)
+        assert g.name == name
+        assert render_grammar(g) == text
+
+    def test_deep_set_is_strict_and_round_trips(self):
+        g = imbalance_grammar({-3, 0, 2})
+        assert g.buds == ("x", "y", "y2", "y3")
+        assert check_strict(g)
+        assert check_unambiguous(g)
+        text = render_grammar(g)
+        assert text == (
+            "buds: x y y2 y3\naxiom: x\ncounting: x y y2 y3\n"
+            "x -> [-3 <x> <y3>] | [0 <x> <x>] | [2 <y2> <x>]\n"
+            "y -> <x>\ny2 -> <y>\ny3 -> <y2>\n"
+        )
+        assert parse_grammar(text) == g
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (-1, 0, 1), (0, 1), (0,), (-2, -1, 0, 1, 2), (0, 2), (-3, 0, 3),
+            (-2, 0, 1), (-1, 0, 1, 2),
+        ],
+        ids=str,
+    )
+    def test_counts_are_family_sizes(self, values):
+        counts = counting_series(imbalance_grammar(values), 15)
+        allowed = ImbalanceSet.of(*values)
+        for n in range(15):
+            assert counts.coefficient({"x": n + 1}) == len(
+                imbalance_family(n, allowed)
+            ), n
+
+    @pytest.mark.parametrize("values", [(), (1,), (-1, 1, 2)])
+    def test_zero_is_required(self, values):
+        with pytest.raises(GrammarError, match="must contain 0"):
+            imbalance_grammar(values)
 
 
 class TestGrammarFiles:

@@ -7,7 +7,7 @@ refuse: ``all_trees(14)`` alone would take about 1 GB.
 import pytest
 
 from tamari_balance import cli, fixtures, intervals, limits
-from tamari_balance.balance import balanced_trees, balanced_trees_of_height
+from tamari_balance.balance import balanced_trees_of_height
 from tamari_balance.cli import main
 from tamari_balance.families import (
     ImbalanceSet,
@@ -114,32 +114,44 @@ def test_cli_rejects_one_past_its_row(capsys, bound, argv, message):
     assert captured.err == f"error: {message.format(bound=bound, past=past)}\n"
 
 
-# The brute route of each series-backed family enumerates balanced trees
-# in the module named here, once per size up to its row.
+# The brute route of each series-backed family enumerates trees with
+# the function named here, in the module named here, once per size up to
+# its row.
 CROSS_CHECKED = [
-    pytest.param("balanced", cli, limits.ENUM_CROSS_CHECK, id="balanced"),
     pytest.param(
-        "maximal-balanced", cli, limits.ENUM_CROSS_CHECK, id="maximal-balanced"
+        "balanced", cli, "imbalance_family", limits.ENUM_CROSS_CHECK,
+        id="balanced",
     ),
     pytest.param(
-        "balanced-intervals", intervals, limits.BRUTE_INTERVALS,
-        id="balanced-intervals",
+        "zero-one-balanced", cli, "imbalance_family", limits.ENUM_CROSS_CHECK,
+        id="zero-one-balanced",
     ),
     pytest.param(
-        "maximal-intervals", intervals, limits.BRUTE_INTERVALS,
-        id="maximal-intervals",
+        "maximal-balanced", cli, "balanced_trees", limits.ENUM_CROSS_CHECK,
+        id="maximal-balanced",
+    ),
+    pytest.param(
+        "balanced-intervals", intervals, "balanced_trees",
+        limits.BRUTE_INTERVALS, id="balanced-intervals",
+    ),
+    pytest.param(
+        "maximal-intervals", intervals, "balanced_trees",
+        limits.BRUTE_INTERVALS, id="maximal-intervals",
     ),
 ]
 
 
-@pytest.mark.parametrize("family, module, row", CROSS_CHECKED)
-def test_enumeration_cross_check_stops_at_its_row(monkeypatch, family, module, row):
+@pytest.mark.parametrize("family, module, name, row", CROSS_CHECKED)
+def test_enumeration_cross_check_stops_at_its_row(
+    monkeypatch, family, module, name, row
+):
     enumerated = []
+    real = getattr(module, name)
 
-    def recording(n):
+    def recording(n, *rest):
         enumerated.append(n)
-        return balanced_trees(n)
+        return real(n, *rest)
 
-    monkeypatch.setattr(module, "balanced_trees", recording)
+    monkeypatch.setattr(module, name, recording)
     cli._FAMILIES[family].compute(row.bound + 2)
     assert enumerated == list(range(row.bound + 1))
