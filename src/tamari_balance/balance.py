@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 from . import limits
 from .families import ImbalanceSet, _family_level, imbalance_family
 from .tamari import RotationError
-from .trees import BinaryTree, iter_subtrees, serialize, subtree_at
+from .trees import BinaryTree, iter_subtrees, serialize, sorted_by_text, subtree_at
 
 
 def is_balanced(t: BinaryTree) -> bool:
@@ -64,7 +64,7 @@ def balanced_trees_of_height(h: int) -> tuple[BinaryTree, ...]:
         raise ValueError("height must be nonnegative")
     limits.HEIGHT.check(h)
     levels = (_family_level(n, h, _BALANCED) for n in range(h, 2**h))
-    return tuple(sorted((t for level in levels for t in level), key=serialize))
+    return tuple(sorted_by_text(t for level in levels for t in level))
 
 
 class RotationKind(enum.Enum):

@@ -306,7 +306,12 @@ def _parse_assignments(items: Sequence[str]) -> dict[str, int]:
         m = _ASSIGNMENT_RE.match(item)
         if m is None:
             raise UsageError(f"bad --set argument {item!r}; expected var=integer")
-        values[m.group(1)] = int(m.group(2))
+        name, value = m.group(1), int(m.group(2))
+        if name in values:
+            raise UsageError(
+                f"--set assigns {name!r} twice: {name}={values[name]} and {name}={value}"
+            )
+        values[name] = value
     return values
 
 

@@ -34,7 +34,7 @@ from .trees import (
     nar,
     node,
     parse,
-    serialize,
+    sorted_by_text,
     subtree_at,
 )
 
@@ -149,8 +149,9 @@ def imbalance_family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
     if n < 0:
         raise ValueError("node count must be nonnegative")
     limits.IMBALANCE_FAMILY.check(n)
-    members = [t for h in range(n + 1) for t in _family_level(n, h, allowed)]
-    return tuple(sorted(members, key=serialize))
+    return tuple(
+        sorted_by_text(t for h in range(n + 1) for t in _family_level(n, h, allowed))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -310,13 +311,14 @@ def weight_balanced_trees(n: int) -> tuple[BinaryTree, ...]:
         if rest % 2 == 0
         else [(rest // 2, rest // 2 + 1), (rest // 2 + 1, rest // 2)]
     )
-    members = [
-        node(left, right)
-        for n_left, n_right in splits
-        for left in weight_balanced_trees(n_left)
-        for right in weight_balanced_trees(n_right)
-    ]
-    return tuple(sorted(members, key=serialize))
+    return tuple(
+        sorted_by_text(
+            node(left, right)
+            for n_left, n_right in splits
+            for left in weight_balanced_trees(n_left)
+            for right in weight_balanced_trees(n_right)
+        )
+    )
 
 
 @lru_cache(maxsize=None)
@@ -372,9 +374,7 @@ def canopy_class(u: str, n: int) -> CanopyClass:
         raise ValueError(f"word length {len(u)} does not match {n} nodes")
     if set(u) - {"0", "1"}:
         raise ValueError(f"canopy words use letters 0 and 1 only: {u!r}")
-    members = tuple(
-        sorted((t for t in all_trees(n) if canopy(t) == u), key=serialize)
-    )
+    members = tuple(sorted_by_text(t for t in all_trees(n) if canopy(t) == u))
     if not members:
         raise AssertionError(f"no tree has canopy {u!r}")
     by_phi = sorted(members, key=phi)
@@ -399,16 +399,28 @@ def narayana_class(n: int, k: int) -> tuple[BinaryTree, ...]:
         return (LEAF,)
     if not 0 <= k <= n - 1:
         raise ValueError(f"right-child count {k} out of range 0..{n - 1}")
-    return tuple(
-        sorted((t for t in all_trees(n) if nar(t) == k), key=serialize)
-    )
+    return tuple(sorted_by_text(t for t in all_trees(n) if nar(t) == k))
 
 
 def narayana_row(n: int) -> tuple[int, ...]:
-    """Class sizes for ``k = 0 .. n - 1`` at a fixed node count."""
+    """Class sizes for ``k = 0 .. n - 1`` at a fixed node count.
+
+    Counted without building a tree: ``node(L, R)`` has the right
+    children of ``L`` and of ``R``, plus its own root when ``R`` is
+    nonempty, so each row sums products of two smaller rows, one per
+    split of the nodes below the root.  ``rows[m][k]`` counts the trees
+    with ``m`` nodes and ``k`` right children.
+    """
     if n < 1:
         raise ValueError("rows start at one node")
-    counts = [0] * n
-    for t in all_trees(n):
-        counts[nar(t)] += 1
-    return tuple(counts)
+    rows = [[1]]
+    for m in range(1, n + 1):
+        row = [0] * m
+        for n_left in range(m):
+            n_right = m - 1 - n_left
+            root = 1 if n_right else 0
+            for k_left, x in enumerate(rows[n_left]):
+                for k_right, y in enumerate(rows[n_right]):
+                    row[k_left + k_right + root] += x * y
+        rows.append(row)
+    return tuple(rows[n])

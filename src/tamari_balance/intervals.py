@@ -29,7 +29,7 @@ from .tamari import (
     rotation_ranks,
     tamari_leq,
 )
-from .trees import BinaryTree, child_ranks, serialize
+from .trees import BinaryTree, child_ranks, serialize, sorted_by_text
 
 
 class CrossCheckError(AssertionError):
@@ -257,6 +257,8 @@ class BalancedSubposet:
         neighbors: dict[BinaryTree, set[BinaryTree]] = {
             t: set() for t in self.trees
         }
+        # Positions in tree-string order: members and ties sort by them.
+        position = {t: i for i, t in enumerate(sorted_by_text(self.trees))}
         for src, dst in self.edges:
             neighbors[src].add(dst)
             neighbors[dst].add(src)
@@ -279,9 +281,9 @@ class BalancedSubposet:
             edge_count = sum(
                 1 for src, dst in self.edges if src in member_set
             )
-            members.sort(key=serialize)
+            members.sort(key=position.__getitem__)
             components.append((tuple(members), edge_count))
-        components.sort(key=lambda item: (-len(item[0]), -item[1], serialize(item[0][0])))
+        components.sort(key=lambda item: (-len(item[0]), -item[1], position[item[0][0]]))
         return components
 
     def structure(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

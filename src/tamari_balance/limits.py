@@ -40,7 +40,7 @@ TAMARI_POSET = Limit(
 )
 IMBALANCE_FAMILY = Limit(
     26, "imbalance_family node count",
-    "the balanced family at n=26 is 1,199,384 trees, built in 22 s and 560 MB",
+    "the balanced family at n=26 is 1,199,384 trees, built and sorted in 3.5 s and 560 MB",
 )
 WEIGHT_BALANCED = Limit(
     15, "weight_balanced_trees node count",

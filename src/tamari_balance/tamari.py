@@ -30,6 +30,7 @@ from .trees import (
     iter_subtrees,
     node,
     serialize,
+    sorted_by_text,
 )
 
 
@@ -99,9 +100,18 @@ def bracket_vector(t: BinaryTree) -> tuple[int, ...]:
     A right rotation raises one entry and leaves the others unchanged,
     and ``T0 <= T1`` exactly when the vectors compare entrywise.
     """
-    if t.left is None:
-        return ()
-    return bracket_vector(t.left) + (t.right.node_count,) + bracket_vector(t.right)
+    out = []
+    stack = []
+    cur = t
+    while True:
+        while cur.left is not None:
+            stack.append(cur)
+            cur = cur.left
+        if not stack:
+            return tuple(out)
+        cur = stack.pop()
+        out.append(cur.right.node_count)
+        cur = cur.right
 
 
 def phi(t: BinaryTree) -> int:
@@ -190,7 +200,7 @@ def interval(t0: BinaryTree, t1: BinaryTree) -> tuple[BinaryTree, ...]:
     """
     if not tamari_leq(t0, t1):
         raise IncomparableError(f"{serialize(t0)} is not below {serialize(t1)}")
-    return tuple(sorted(_interval_members(t0, t1), key=serialize))
+    return tuple(sorted_by_text(_interval_members(t0, t1)))
 
 
 def _interval_members(t0: BinaryTree, t1: BinaryTree) -> set[BinaryTree]:
@@ -298,13 +308,12 @@ class TamariPoset:
 
     def to_dot(self) -> str:
         """Hasse diagram in DOT format, nodes sorted by tree string."""
-        order = sorted(range(len(self.elements)), key=lambda i: serialize(self.elements[i]))
         return hasse_dot(
-            [self.elements[i] for i in order],
+            self.elements,
             [
-                (self.elements[i], self.elements[j])
-                for i in order
-                for j in self.cover_edges[i]
+                (t, self.elements[j])
+                for t, outs in zip(self.elements, self.cover_edges)
+                for j in outs
             ],
         )
 
@@ -340,13 +349,15 @@ def hasse_dot(
     Nodes are labeled with tree strings and listed in sorted tree-string
     order; each edge points from the smaller to the larger tree.
     """
-    names = {}
+    nodes = set(trees) | {a for e in edges for a in e}
+    position = {t: i for i, t in enumerate(sorted_by_text(nodes))}
     lines = [f"digraph {graph_name} {{", "  rankdir=BT;"]
-    for t in sorted(set(trees) | {a for e in edges for a in e}, key=serialize):
-        names[t] = f"n{len(names)}"
+    for t, i in position.items():
         style = ' style=filled fillcolor="lightblue"' if t in highlight else ""
-        lines.append(f'  {names[t]} [label="{serialize(t)}"{style}];')
-    for a, b in sorted(edges, key=lambda e: (serialize(e[0]), serialize(e[1]))):
-        lines.append(f"  {names[a]} -> {names[b]};")
+        lines.append(f'  n{i} [label="{serialize(t)}"{style}];')
+    # Node numbers count up in tree-string order, so sorting the edges by
+    # the numbers of their ends sorts them by the ends' tree strings.
+    for a, b in sorted((position[a], position[b]) for a, b in edges):
+        lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines)

@@ -14,12 +14,17 @@ Trees are hash-consed: every constructor in this module routes through
 :func:`node`, so structurally equal trees are the same object and
 equality is identity; the hash stays structural, so set orders do not
 depend on addresses.  Instances are immutable and safe to share.
+
+Every list of trees the library returns "sorted by tree string" is sorted
+by :func:`sorted_by_text`: the order of ``sorted(trees, key=serialize)``,
+reached by rendering each distinct subtree once per call and building a
+parent's string from its children's, with no recursion by height.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import limits
 
@@ -153,6 +158,42 @@ def serialize(t: BinaryTree) -> str:
             stack.append(cur.right)
             stack.append(cur.left)
     return "".join(out)
+
+
+def sorted_by_text(trees: Iterable[BinaryTree]) -> list[BinaryTree]:
+    """The trees sorted by tree string, as ``sorted(trees, key=serialize)``.
+
+    Each distinct proper subtree is rendered once, from the strings of
+    its children, in a memo keyed by object identity; the trees in hand
+    keep every memoized object alive until the sort ends.  A tree's own
+    string is built only as its sort key, so a family of one size holds
+    no more strings than the sort itself needs.
+    """
+    trees = list(trees)
+    text: dict[int, str] = {id(LEAF): "."}
+    for t in trees:
+        if t.left is None:
+            continue
+        stack = [t.right, t.left]
+        while stack:
+            cur = stack.pop()
+            key = id(cur)
+            if key in text:
+                continue
+            left = text.get(id(cur.left))
+            right = text.get(id(cur.right))
+            if left is None or right is None:
+                # Come back once both children have their strings.
+                stack += (cur, cur.right, cur.left)
+                continue
+            text[key] = "(" + left + right + ")"
+
+    def own_text(t: BinaryTree) -> str:
+        if t.left is None:
+            return "."
+        return "(" + text[id(t.left)] + text[id(t.right)] + ")"
+
+    return sorted(trees, key=own_text)
 
 
 def leaf_count(t: BinaryTree) -> int:

@@ -300,6 +300,15 @@ class TestSeries:
         assert code == 2
         assert "--set" in err
 
+    def test_repeated_assignment(self, capsys):
+        code, out, err = run(
+            capsys, "series", "--builtin", "bal", "--degree", "3",
+            "--set", "y=1", "y=0",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --set assigns 'y' twice: y=1 and y=0\n"
+
     @pytest.mark.parametrize(
         "builtin, name, known",
         [("bal", "q", "x, y"), ("mbi", "u", "x, y, z, t")],

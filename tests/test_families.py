@@ -1,7 +1,10 @@
 """Tests for imbalance-set families, weight balance, canopy and right-child classes."""
 
+from math import comb
+
 import pytest
 
+from tamari_balance import limits
 from tamari_balance.balance import balanced_trees, is_balanced
 from tamari_balance.families import (
     CanopyClass,
@@ -571,6 +574,24 @@ class TestNarayana:
             row = narayana_row(n)
             assert row == row[::-1]
             assert sum(row) == len(all_trees(n))
+
+    def test_rows_match_the_enumerated_tally(self):
+        for n in range(1, 11):
+            tally = [0] * n
+            for t in all_trees(n):
+                tally[nar(t)] += 1
+            assert list(narayana_row(n)) == tally
+
+    def test_rows_match_the_closed_form(self):
+        for n in range(1, 41):
+            expected = [comb(n, k) * comb(n, k + 1) // n for k in range(n)]
+            assert list(narayana_row(n)) == expected
+
+    def test_rows_pass_the_all_trees_cap(self):
+        assert limits.ALL_TREES.bound < 14
+        assert narayana_row(14) == tuple(
+            comb(14, k) * comb(14, k + 1) // 14 for k in range(14)
+        )
 
     def test_extreme_classes_are_combs(self):
         for n in range(1, 9):

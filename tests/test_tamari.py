@@ -12,6 +12,7 @@ from tamari_balance.tamari import (
     IncomparableError,
     RotationError,
     TamariPoset,
+    bracket_vector,
     comparable_pairs,
     covers,
     hasse_dot,
@@ -24,10 +25,12 @@ from tamari_balance.tamari import (
     tamari_poset,
 )
 from tamari_balance.trees import (
+    LEAF,
     all_trees,
     child_ranks,
     iter_subtrees,
     mirror,
+    node,
     parse,
     serialize,
     subtree_at,
@@ -150,6 +153,31 @@ def test_interval_singleton_and_error_are_distinct():
     assert interval(t, t) == (t,)
     with pytest.raises(IncomparableError):
         interval(parse("(.(..))"), parse("((..).)"))
+
+
+def _recursive_bracket_vector(t):
+    if t.left is None:
+        return ()
+    return (
+        _recursive_bracket_vector(t.left)
+        + (t.right.node_count,)
+        + _recursive_bracket_vector(t.right)
+    )
+
+
+def test_bracket_vector_is_the_infix_right_sizes():
+    for n in range(9):
+        for t in all_trees(n):
+            assert bracket_vector(t) == _recursive_bracket_vector(t)
+
+
+def test_order_queries_on_a_deep_comb():
+    comb = LEAF
+    for _ in range(5000):
+        comb = node(LEAF, comb)
+    assert bracket_vector(comb) == tuple(range(4999, -1, -1))
+    assert tamari_leq(comb, comb)
+    assert interval(comb, comb) == (comb,)
 
 
 def test_interval_of_extremes_is_everything():

@@ -1,4 +1,5 @@
 import pickle
+import random
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from tamari_balance.trees import (
     node,
     parse,
     serialize,
+    sorted_by_text,
     subtree_at,
 )
 
@@ -231,3 +233,19 @@ def test_parse_rejects_or_round_trips(text):
     except TreeParseError:
         return
     assert serialize(t) == "".join(text.split())
+
+
+def test_sorted_by_text_matches_serialize_order():
+    pooled = [t for n in range(9) for t in all_trees(n)]
+    random.Random(12).shuffle(pooled)
+    assert sorted_by_text(pooled) == sorted(pooled, key=serialize)
+    assert sorted_by_text(iter(pooled)) == sorted(pooled, key=serialize)
+    assert sorted_by_text([]) == []
+
+
+def test_sorted_by_text_on_a_deep_comb():
+    comb = LEAF
+    for _ in range(5000):
+        comb = node(LEAF, comb)
+    trees = [comb, comb.right.right, node(comb, LEAF), LEAF, comb]
+    assert sorted_by_text(trees) == sorted(trees, key=serialize)
