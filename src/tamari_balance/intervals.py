@@ -8,7 +8,8 @@ verifies the hypercube isomorphism explicitly, counts balanced and
 maximal balanced intervals along two independent routes (brute force
 over the balanced trees, and the counting series of the ``bi``, ``mbi``
 and ``mbi_xi`` grammars from :func:`.grammars.counting_series`), and
-builds the balanced subposet.
+builds the balanced subposet.  Every cube dimension it reports comes
+from a pair that :func:`verify_hypercube` has just verified.
 """
 
 from __future__ import annotations
@@ -41,8 +42,13 @@ class CrossCheckError(AssertionError):
 
     def __init__(self, what: str, routes: tuple[str, str], values: tuple):
         super().__init__(f"{what}: {values[0]} vs {values[1]}")
+        self._what = what
         self.routes = routes
         self.values = values
+
+    def __reduce__(self):
+        # Rebuilt from its arguments, so it crosses back from a worker.
+        return type(self), (self._what, self.routes, self.values)
 
 
 @dataclass(frozen=True)
@@ -149,14 +155,31 @@ def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
     return k, set(comparable_pairs(trees, trees)) == contained
 
 
-def hypercube_histogram(n: int) -> dict[int, int]:
-    """Dimension counts over all comparable balanced pairs at size ``n``."""
+def _dimension_histogram(
+    pairs: Iterable[tuple[BinaryTree, BinaryTree]]
+) -> dict[int, int]:
+    """Cube dimension counts over ``pairs``, smallest first, each pair
+    verified by :func:`verify_hypercube`: a non-cube raises
+    :class:`CrossCheckError`, its ``2^k`` subset images against the
+    interval that the cover walk finds."""
     histogram: dict[int, int] = {}
-    trees = balanced_trees(n)
-    for lower, upper in comparable_pairs(trees, trees):
-        k = len(rotation_root_set(lower, upper).ranks)
+    for lower, upper in pairs:
+        k, ok = verify_hypercube(lower, upper)
+        if not ok:
+            raise CrossCheckError(
+                f"[{serialize(lower)}, {serialize(upper)}] is not a hypercube",
+                ("subset images", "cover walk"),
+                (1 << k, len(_interval_members(lower, upper))),
+            )
         histogram[k] = histogram.get(k, 0) + 1
     return dict(sorted(histogram.items()))
+
+
+def hypercube_histogram(n: int) -> dict[int, int]:
+    """Dimension counts over all comparable balanced pairs at size ``n``,
+    each verified a hypercube; a non-cube raises :class:`CrossCheckError`."""
+    trees = balanced_trees(n)
+    return _dimension_histogram(comparable_pairs(trees, trees))
 
 
 def count_balanced_intervals(n: int) -> int:
@@ -204,8 +227,8 @@ def count_maximal_balanced_intervals(
     An interval is maximal when its lower endpoint admits no balanced
     predecessor and its upper endpoint no balanced successor.  Returns
     the total count, or with ``by_dimension`` the polynomial whose
-    ``xi^k`` coefficient counts the dimension-k intervals.  Both forms
-    are cross-checked against the corresponding grammar series.
+    ``xi^k`` coefficient counts the verified dimension-k cubes.  Both
+    forms are cross-checked against the corresponding grammar series.
     """
     if not by_dimension:
         brute = _maximal_pair_count(n)
@@ -218,10 +241,7 @@ def count_maximal_balanced_intervals(
                 (brute, via_grammar),
             )
         return brute
-    counts: dict[int, int] = {}
-    for lower, upper in _maximal_interval_pairs(n):
-        k = len(rotation_root_set(lower, upper).ranks)
-        counts[k] = counts.get(k, 0) + 1
+    counts = _dimension_histogram(_maximal_interval_pairs(n))
     brute_poly = Polynomial(
         {Monomial({"xi": k} if k else {}): c for k, c in counts.items()},
         markers=("xi",),

@@ -8,6 +8,7 @@ import pytest
 from tamari_balance import cli, fixtures, intervals, limits
 from tamari_balance.cli import SequenceReport, main, run_enum
 from tamari_balance.polynomials import Polynomial
+from tamari_balance.trees import parse
 
 
 def run(capsys, *argv):
@@ -388,6 +389,46 @@ class TestCheck:
         dims = {d["dimension"]: d["count"] for d in by_n[7]["dimensions"]}
         assert dims[3] == 1
         assert sum(dims.values()) == 52
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_cube_is_a_fail(self, capsys, monkeypatch, jobs):
+        real = intervals.verify_hypercube
+        bad = (parse("((..)((..).))"), parse("((..)(.(..)))"))
+
+        def claims_a_square(lower, upper):
+            k, ok = real(lower, upper)
+            return (2, False) if (lower, upper) == bad else (k, ok)
+
+        monkeypatch.setattr(intervals, "verify_hypercube", claims_a_square)
+        argv = ("check", "hypercube", "--max-n", "5", "--jobs", jobs)
+        error = "[((..)((..).)), ((..)(.(..)))] is not a hypercube: 4 vs 2"
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"FAIL: {error}\n"
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        assert payload == {
+            "verdict": "FAIL",
+            "error": error,
+            "routes": {"subset images": 4, "cover walk": 2},
+        }
+
+    def test_serial_sweep_stops_at_the_first_break(self, capsys, monkeypatch):
+        swept = []
+        real = cli._closure_at
+
+        def recording(task):
+            swept.append(task[0])
+            return real(task)
+
+        monkeypatch.setattr(cli, "_closure_at", recording)
+        code, out, _ = run(
+            capsys, "check", "closure-vbalanced", "--v=-2..0", "--max-n", "12"
+        )
+        assert code == 1
+        assert out.splitlines()[-1].endswith("first break at n=7")
+        assert swept == list(range(8))
 
     def test_check_with_jobs(self, capsys):
         code, payload = run_json(

@@ -1,5 +1,6 @@
 """Tests for the hypercube structure of balanced intervals."""
 
+import pickle
 import subprocess
 import sys
 
@@ -18,6 +19,7 @@ from tamari_balance.fixtures import (
     SUBPOSET_STRUCTURE,
 )
 from tamari_balance.intervals import (
+    CrossCheckError,
     balanced_subposet,
     count_balanced_intervals,
     count_maximal_balanced_intervals,
@@ -161,11 +163,18 @@ class TestIntervalCounts:
                 "    x5 = poly.coefficient({'x': 5}) * Polynomial.variable('x') ** 5",
                 "    return poly - x5",
                 "intervals.counting_series = wrong_at_four",
+                "real_verify = intervals.verify_hypercube",
+                "def one_too_many(lower, upper):",
+                "    k, _ = real_verify(lower, upper)",
+                "    return k + 1, False",
+                "intervals.verify_hypercube = one_too_many",
                 "balance._ROTATION_TABLE[(0, 0)] = (",
                 "    balance.RotationKind.SIMPLY_UNBALANCING, (9, 9)",
                 ")",
                 "for check in (",
                 "    lambda: intervals.count_balanced_intervals(4),",
+                "    lambda: intervals.hypercube_histogram(4),",
+                "    lambda: intervals.count_maximal_balanced_intervals(4, True),",
                 "    lambda: balance.classify_rotation(parse('((..)(..))'), 2),",
                 "):",
                 "    try:",
@@ -181,7 +190,24 @@ class TestIntervalCounts:
         )
         assert result.returncode == 0, result.stderr
         assert "routes disagree at n=4" in result.stdout
+        assert (
+            "[(((..).)(..)), (((..).)(..))] is not a hypercube: 2 vs 1"
+            in result.stdout
+        )
+        assert result.stdout.count("is not a hypercube") == 2
         assert "table disagrees at (0, 0): (9, 9) vs (2, 1)" in result.stdout
+
+
+    @pytest.mark.parametrize(
+        "values", [(4, 2), (Polynomial.constant(3), Polynomial.variable("xi"))]
+    )
+    def test_cross_check_error_survives_pickling(self, values):
+        exc = CrossCheckError("routes disagree", ("brute", "series"), values)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is CrossCheckError
+        assert str(back) == str(exc)
+        assert back.routes == exc.routes
+        assert back.values == exc.values
 
 
 class TestUnbalancingPersistence:
