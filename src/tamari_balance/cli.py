@@ -30,9 +30,12 @@ import argparse
 import json
 import re
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from . import fixtures, limits
 from .balance import balanced_trees
@@ -403,14 +406,29 @@ def _hypercube_at(n: int) -> dict:
     }
 
 
-def _run_over_sizes(worker: Callable, tasks: list, jobs: int) -> Iterable:
+def _run_over_sizes(worker: Callable, tasks: list, jobs: int) -> Iterator:
+    """Yield ``worker(task)`` for each task in order, as the caller reads.
+
+    Above one job, a pool runs at most one task per worker ahead of the
+    caller.  Closing the generator, as a report that stops at a
+    counterexample does, shuts the pool down: it cancels what has not
+    started and waits only for those few tasks.
+    """
     # A forking pool starts every worker at once: no more than the tasks.
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        # Lazy, so a report that stops at a counterexample skips the rest.
-        return map(worker, tasks)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks))
+        yield from map(worker, tasks)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        waiting = iter(tasks)
+        ahead = deque(pool.submit(worker, task) for task in islice(waiting, workers))
+        while ahead:
+            outcome = ahead.popleft().result()
+            ahead.extend(pool.submit(worker, task) for task in islice(waiting, 1))
+            yield outcome
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _report(
@@ -438,24 +456,24 @@ def _check_closure(
     args: argparse.Namespace, allowed: ImbalanceSet, family: str
 ) -> int:
     sizes = list(range(args.max_n + 1))
-    outcomes = _run_over_sizes(
-        _closure_at, [(n, allowed) for n in sizes], args.jobs
-    )
     results = []
     lines = []
     verdict = "PASS"
-    for n, outcome in zip(sizes, outcomes):
-        results.append({"n": n, "counterexample": outcome})
-        if outcome is None:
-            lines.append(f"n={n}: closed")
-            continue
-        chain = " -> ".join(outcome["chain"])
-        lines.append(
-            f"n={n}: counterexample {chain}; "
-            f"outside the family at step {outcome['failing_index']}"
-        )
-        verdict = "FAIL"
-        break
+    with closing(
+        _run_over_sizes(_closure_at, [(n, allowed) for n in sizes], args.jobs)
+    ) as outcomes:
+        for n, outcome in zip(sizes, outcomes):
+            results.append({"n": n, "counterexample": outcome})
+            if outcome is None:
+                lines.append(f"n={n}: closed")
+                continue
+            chain = " -> ".join(outcome["chain"])
+            lines.append(
+                f"n={n}: counterexample {chain}; "
+                f"outside the family at step {outcome['failing_index']}"
+            )
+            verdict = "FAIL"
+            break
     if verdict == "PASS":
         lines.append(
             f"PASS: family {family} is closed under the rotation order "
@@ -490,10 +508,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.property not in _CHECK_PROPERTIES:
         known = ", ".join(_CHECK_PROPERTIES)
         raise UsageError(f"unknown property {args.property!r}; choose from {known}")
-    if not 0 <= args.max_n <= limits.CHECK_SWEEP.bound:
-        raise UsageError(
-            f"--max-n must lie in 0..{limits.CHECK_SWEEP.bound}, got {args.max_n}"
-        )
+    cap = (
+        limits.CHECK_HYPERCUBE if args.property == "hypercube" else limits.CHECK_SWEEP
+    ).bound
+    if not 0 <= args.max_n <= cap:
+        raise UsageError(f"--max-n must lie in 0..{cap}, got {args.max_n}")
     if args.jobs < 1:
         raise UsageError(f"--jobs must be positive, got {args.jobs}")
     if args.property == "closure-vbalanced":
@@ -644,9 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-n",
         type=int,
         default=limits.CHECK_SWEEP.bound,
-        help=f"largest size to sweep, at most and by default "
-        f"{limits.CHECK_SWEEP.bound}; closure-vbalanced --v=.. takes about "
-        "14 s there",
+        help=f"largest size to sweep, by default {limits.CHECK_SWEEP.bound}; "
+        f"at most {limits.CHECK_SWEEP.bound} for the closure properties, "
+        "where closure-vbalanced --v=.. takes about 14 s, and "
+        f"{limits.CHECK_HYPERCUBE.bound} for hypercube, about 7 s",
     )
     p_check.add_argument(
         "--v", help="imbalance set for closure-vbalanced, e.g. -2..0 or 0,1"

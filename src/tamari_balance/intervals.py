@@ -24,6 +24,8 @@ from .polynomials import Monomial, Polynomial
 from .tamari import (
     IncomparableError,
     _interval_members,
+    _vector_moves,
+    bracket_vector,
     comparable_pairs,
     hasse_dot,
     right_rotation,
@@ -91,24 +93,24 @@ def rotation_root_set(t0: BinaryTree, t1: BinaryTree) -> RotationRootSet:
     """Roots of the conservative rotations transforming ``t0`` into ``t1``.
 
     Greedy: repeatedly apply any conservative balancing rotation that
-    stays below ``t1``.  The root set is order-independent; a replay in
-    the opposite order is checked.  Endpoints must be balanced and
-    comparable.
+    stays below ``t1``; a rotation stays below exactly when the one
+    vector entry it raises stays at or below ``t1``'s.  The root set is
+    order-independent; a replay in the opposite order is checked.
+    Endpoints must be balanced and comparable.
     """
     _require_balanced_pair(t0, t1)
+    upper = bracket_vector(t1)
     ranks: list[int] = []
     cur = t0
     while cur != t1:
-        for rank in rotation_ranks(cur):
+        for rank, i, value in _vector_moves(cur):
             if (
-                classify_rotation(cur, rank).kind
-                is not RotationKind.CONSERVATIVE_BALANCING
+                value <= upper[i]
+                and classify_rotation(cur, rank).kind
+                is RotationKind.CONSERVATIVE_BALANCING
             ):
-                continue
-            rotated = right_rotation(cur, rank)
-            if tamari_leq(rotated, t1):
                 ranks.append(rank)
-                cur = rotated
+                cur = right_rotation(cur, rank)
                 break
         else:
             raise AssertionError(
@@ -131,28 +133,60 @@ def rotation_root_set(t0: BinaryTree, t1: BinaryTree) -> RotationRootSet:
 def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
     """Dimension of the interval and whether it is a genuine hypercube.
 
-    Builds the subset-to-tree map over the rotation root set and checks
-    that it hits every interval element exactly once and that subset
-    inclusion coincides with the rotation order on the interval.
+    Builds the image of every subset of the rotation root set, rotating
+    in ascending and in descending rank order, and checks that the two
+    orders agree, that the images are distinct, and that they are the
+    interval that the cover walk finds.  Subset inclusion coincides with
+    the rotation order when each root raises one vector entry from
+    ``t0``'s to ``t1``'s, the roots raise every entry where the endpoints
+    differ, and each image's vector mixes the endpoints on its subset's
+    entries (Huang and Tamari, 1972).
     """
     roots = rotation_root_set(t0, t1)
     ranks = sorted(roots.ranks)
     k = len(ranks)
-    trees: list[BinaryTree] = []
-    for bits in range(1 << k):
-        subset = [ranks[i] for i in range(k) if bits >> i & 1]
-        trees.append(roots.apply(subset))
-    if len(set(trees)) != 1 << k:
+    # The image of S rotated in ascending and in descending rank order:
+    # each rotates the image of S without its last root in that order.
+    images = [t0] * (1 << k)
+    descending = [t0] * (1 << k)
+    for subset in range(1, 1 << k):
+        top = subset.bit_length() - 1
+        bottom = (subset & -subset).bit_length() - 1
+        images[subset] = right_rotation(images[subset ^ (1 << top)], ranks[top])
+        descending[subset] = right_rotation(
+            descending[subset ^ (1 << bottom)], ranks[bottom]
+        )
+        if images[subset] is not descending[subset]:
+            raise AssertionError("root rotations failed to commute")
+    if len(set(images)) != 1 << k:
         return k, False
-    if set(trees) != _interval_members(t0, t1):
+    if set(images) != _interval_members(t0, t1):
         return k, False
-    contained = {
-        (trees[lo], trees[hi])
-        for hi in range(1 << k)
-        for lo in range(1 << k)
-        if lo & hi == lo
-    }
-    return k, set(comparable_pairs(trees, trees)) == contained
+    lower, upper = bracket_vector(t0), bracket_vector(t1)
+    vectors = [bracket_vector(image) for image in images]
+    # Each root raises one entry, from the lower endpoint's to the upper's.
+    entries = []
+    for j in range(k):
+        changed = _differing_entries(lower, vectors[1 << j])
+        if len(changed) != 1 or vectors[1 << j][changed[0]] != upper[changed[0]]:
+            return k, False
+        entries += changed
+    if sorted(entries) != _differing_entries(lower, upper):
+        return k, False
+    # The image of S takes the upper endpoint's entries at S's roots.
+    for subset, vector in enumerate(vectors):
+        mixed = list(lower)
+        for j in range(k):
+            if subset >> j & 1:
+                mixed[entries[j]] = upper[entries[j]]
+        if vector != tuple(mixed):
+            return k, False
+    return k, True
+
+
+def _differing_entries(lower: tuple[int, ...], upper: tuple[int, ...]) -> list[int]:
+    """Indices where two bracket vectors differ, ascending."""
+    return [i for i, (a, b) in enumerate(zip(lower, upper)) if a != b]
 
 
 def _dimension_histogram(
@@ -161,7 +195,9 @@ def _dimension_histogram(
     """Cube dimension counts over ``pairs``, smallest first, each pair
     verified by :func:`verify_hypercube`: a non-cube raises
     :class:`CrossCheckError`, its ``2^k`` subset images against the
-    interval that the cover walk finds."""
+    interval that the cover walk finds, and so does a dimension other
+    than the number of entries where the endpoints' bracket vectors
+    differ."""
     histogram: dict[int, int] = {}
     for lower, upper in pairs:
         k, ok = verify_hypercube(lower, upper)
@@ -170,6 +206,16 @@ def _dimension_histogram(
                 f"[{serialize(lower)}, {serialize(upper)}] is not a hypercube",
                 ("subset images", "cover walk"),
                 (1 << k, len(_interval_members(lower, upper))),
+            )
+        differing = len(
+            _differing_entries(bracket_vector(lower), bracket_vector(upper))
+        )
+        if k != differing:
+            raise CrossCheckError(
+                f"cube dimension routes disagree on "
+                f"[{serialize(lower)}, {serialize(upper)}]",
+                ("root set", "bracket vectors"),
+                (k, differing),
             )
         histogram[k] = histogram.get(k, 0) + 1
     return dict(sorted(histogram.items()))

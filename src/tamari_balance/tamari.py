@@ -26,6 +26,7 @@ from typing import Iterable, Iterator
 from . import limits
 from .trees import (
     BinaryTree,
+    _text_sorted,
     all_trees,
     iter_subtrees,
     node,
@@ -124,6 +125,23 @@ def rotation_ranks(t: BinaryTree) -> tuple[int, ...]:
     return tuple(rank for rank, sub in iter_subtrees(t) if sub.left.node_count)
 
 
+def _vector_moves(t: BinaryTree) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(rank, index, value)`` for every right rotation of ``t``,
+    in increasing rank order.
+
+    Rotating at ``rank`` sets :func:`bracket_vector` entry ``index``
+    (counted from 0) to ``value`` and leaves every other entry as it was.
+    At a node y with left child x = (A, B) and right subtree C, only x's
+    right subtree grows, from B to B ^ C, so the entry of x, at rank
+    ``rank - |B| - 1``, rises by ``|C| + 1`` (Huang and Tamari, 1972).
+    """
+    for rank, sub in iter_subtrees(t):
+        x = sub.left
+        if x.node_count:
+            b = x.right.node_count
+            yield rank, rank - b - 2, b + sub.right.node_count + 1
+
+
 def covers(t: BinaryTree) -> tuple[BinaryTree, ...]:
     """All single right rotations of ``t``, in increasing rank order."""
     return tuple(right_rotation(t, rank) for rank in rotation_ranks(t))
@@ -207,18 +225,25 @@ def _interval_members(t0: BinaryTree, t1: BinaryTree) -> set[BinaryTree]:
     """The set of trees ``t`` with ``t0 <= t <= t1``, for ``t0 <= t1``.
 
     Every member lies on a chain of covers from ``t0`` that stays below
-    ``t1``, so the walk keeps only covers whose vector stays at or below
-    the vector of ``t1``.
+    ``t1``.  A cover changes one vector entry, so the walk compares that
+    entry with ``t1``'s before it builds the cover, and keys the members
+    by vector, which determines the tree, so no member is built twice.
     """
     upper = bracket_vector(t1)
-    members = {t0}
-    stack = [t0]
+    start = bracket_vector(t0)
+    members = {start: t0}
+    stack = [(t0, start)]
     while stack:
-        for nxt in covers(stack.pop()):
-            if nxt not in members and all(map(le, bracket_vector(nxt), upper)):
-                members.add(nxt)
-                stack.append(nxt)
-    return members
+        t, vector = stack.pop()
+        for rank, i, value in _vector_moves(t):
+            if value > upper[i]:
+                continue
+            raised = vector[:i] + (value,) + vector[i + 1 :]
+            if raised not in members:
+                nxt = right_rotation(t, rank)
+                members[raised] = nxt
+                stack.append((nxt, raised))
+    return set(members.values())
 
 
 class TamariPoset:
@@ -350,11 +375,12 @@ def hasse_dot(
     order; each edge points from the smaller to the larger tree.
     """
     nodes = set(trees) | {a for e in edges for a in e}
-    position = {t: i for i, t in enumerate(sorted_by_text(nodes))}
+    ordered, label = _text_sorted(nodes)
+    position = {t: i for i, t in enumerate(ordered)}
     lines = [f"digraph {graph_name} {{", "  rankdir=BT;"]
     for t, i in position.items():
         style = ' style=filled fillcolor="lightblue"' if t in highlight else ""
-        lines.append(f'  n{i} [label="{serialize(t)}"{style}];')
+        lines.append(f'  n{i} [label="{label(t)}"{style}];')
     # Node numbers count up in tree-string order, so sorting the edges by
     # the numbers of their ends sorts them by the ends' tree strings.
     for a, b in sorted((position[a], position[b]) for a, b in edges):

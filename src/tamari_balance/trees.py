@@ -24,7 +24,7 @@ parent's string from its children's, with no recursion by height.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import limits
 
@@ -161,13 +161,21 @@ def serialize(t: BinaryTree) -> str:
 
 
 def sorted_by_text(trees: Iterable[BinaryTree]) -> list[BinaryTree]:
-    """The trees sorted by tree string, as ``sorted(trees, key=serialize)``.
+    """The trees sorted by tree string, as ``sorted(trees, key=serialize)``."""
+    return _text_sorted(trees)[0]
+
+
+def _text_sorted(
+    trees: Iterable[BinaryTree],
+) -> tuple[list[BinaryTree], Callable[[BinaryTree], str]]:
+    """The trees in :func:`sorted_by_text` order, and their string function.
 
     Each distinct proper subtree is rendered once, from the strings of
     its children, in a memo keyed by object identity; the trees in hand
     keep every memoized object alive until the sort ends.  A tree's own
-    string is built only as its sort key, so a family of one size holds
-    no more strings than the sort itself needs.
+    string is joined from its children's memoized strings when it is
+    asked for, as the sort key and by the returned function, so a
+    family of one size holds no more strings than the sort itself needs.
     """
     trees = list(trees)
     text: dict[int, str] = {id(LEAF): "."}
@@ -193,7 +201,7 @@ def sorted_by_text(trees: Iterable[BinaryTree]) -> list[BinaryTree]:
             return "."
         return "(" + text[id(t.left)] + text[id(t.right)] + ")"
 
-    return sorted(trees, key=own_text)
+    return sorted(trees, key=own_text), own_text
 
 
 def leaf_count(t: BinaryTree) -> int:

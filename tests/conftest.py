@@ -1,7 +1,10 @@
 """Shared strategies and helpers for the test suite."""
 
+from operator import le
+
 from hypothesis import strategies as st
 
+from tamari_balance.tamari import bracket_vector, covers
 from tamari_balance.trees import all_trees
 
 
@@ -14,3 +17,17 @@ def trees_with_up_to(max_nodes: int):
 
 small_trees = trees_with_up_to(9)
 tiny_trees = trees_with_up_to(6)
+
+
+def cover_walk_interval(t0, t1):
+    """The trees between ``t0 <= t1``: every cover of every member is
+    built, and kept when its whole vector stays at or below ``t1``'s."""
+    upper = bracket_vector(t1)
+    members = {t0}
+    stack = [t0]
+    while stack:
+        for nxt in covers(stack.pop()):
+            if nxt not in members and all(map(le, bracket_vector(nxt), upper)):
+                members.add(nxt)
+                stack.append(nxt)
+    return members

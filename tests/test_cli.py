@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from concurrent.futures import Future
 
 import pytest
 
@@ -430,6 +431,40 @@ class TestCheck:
         assert out.splitlines()[-1].endswith("first break at n=7")
         assert swept == list(range(8))
 
+    def test_pool_sweep_stops_at_the_first_break(self, capsys):
+        argv = ("check", "closure-vbalanced", "--v=-5..5", "--max-n", "12")
+        serial = run(capsys, *argv)
+        assert serial[0] == 1
+        assert serial[1].splitlines()[-1].endswith("first break at n=7")
+        assert run(capsys, *argv, "--jobs", "2") == serial
+
+    def test_pool_runs_one_task_per_worker_ahead(self, monkeypatch):
+        submitted = []
+        real = cli._closure_at
+
+        def recording(task):
+            submitted.append(task[0])
+            return real(task)
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pass
+
+            def submit(self, fn, task):
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                assert cancel_futures
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        tasks = [(n, cli.ImbalanceSet.of(-2, -1, 0)) for n in range(13)]
+        outcomes = cli._run_over_sizes(recording, tasks, 2)
+        assert [next(outcomes) for _ in range(3)] == [None, None, None]
+        outcomes.close()
+        assert submitted == [0, 1, 2, 3, 4]
+
     def test_check_with_jobs(self, capsys):
         code, payload = run_json(
             capsys, "check", "closure-balanced", "--max-n", "6", "--jobs", "2"
@@ -445,14 +480,13 @@ class TestCheck:
             def __init__(self, max_workers):
                 pools.append(max_workers)
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, task):
+                future = Future()
+                future.set_result(fn(task))
+                return future
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def shutdown(self, cancel_futures=False):
+                pass
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         code, payload = run_json(
@@ -488,6 +522,21 @@ class TestCheck:
         assert payload["max_n"] == limits.CHECK_SWEEP.bound
         sizes = [task[0] if isinstance(task, tuple) else task for task in swept]
         assert sizes == list(range(limits.CHECK_SWEEP.bound + 1))
+
+    def test_hypercube_has_its_own_cap(self, capsys, monkeypatch):
+        outcome = {"trees": 1, "intervals": 1, "dimensions": [], "failing": None}
+        monkeypatch.setattr(cli, "_hypercube_at", lambda n: outcome)
+        bound = limits.CHECK_HYPERCUBE.bound
+        assert bound > limits.CHECK_SWEEP.bound
+        code, payload = run_json(capsys, "check", "hypercube", "--max-n", str(bound))
+        assert code == 0
+        assert [r["n"] for r in payload["results"]] == list(range(bound + 1))
+        code, _, err = run(capsys, "check", "closure-balanced", "--max-n", str(bound))
+        assert code == 2
+        assert err == (
+            f"error: --max-n must lie in 0..{limits.CHECK_SWEEP.bound}, "
+            f"got {bound}\n"
+        )
 
     def test_unknown_property(self, capsys):
         code, _, err = run(capsys, "check", "associativity")

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conftest import cover_walk_interval
+from tamari_balance import intervals
 from tamari_balance.balance import (
     RotationKind,
     balanced_trees,
@@ -20,6 +22,7 @@ from tamari_balance.fixtures import (
 )
 from tamari_balance.intervals import (
     CrossCheckError,
+    RotationRootSet,
     balanced_subposet,
     count_balanced_intervals,
     count_maximal_balanced_intervals,
@@ -30,6 +33,7 @@ from tamari_balance.intervals import (
 from tamari_balance.polynomials import Monomial, Polynomial
 from tamari_balance.tamari import (
     IncomparableError,
+    comparable_pairs,
     covers,
     interval,
     right_rotation,
@@ -90,7 +94,54 @@ class TestRotationRootSet:
             roots.apply([1])
 
 
+def verify_by_subsets(t0, t1):
+    """A second hypercube verification: each subset's image by
+    :meth:`RotationRootSet.apply`, the interval by the cover walk, and the
+    order among the images by :func:`comparable_pairs`."""
+    roots = rotation_root_set(t0, t1)
+    ranks = sorted(roots.ranks)
+    k = len(ranks)
+    trees = [
+        roots.apply([ranks[i] for i in range(k) if bits >> i & 1])
+        for bits in range(1 << k)
+    ]
+    if len(set(trees)) != 1 << k or set(trees) != cover_walk_interval(t0, t1):
+        return k, False
+    contained = {
+        (trees[lo], trees[hi])
+        for hi in range(1 << k)
+        for lo in range(1 << k)
+        if lo & hi == lo
+    }
+    return k, set(comparable_pairs(trees, trees)) == contained
+
+
 class TestVerifyHypercube:
+    @pytest.mark.parametrize("n", range(10))
+    def test_matches_subset_by_subset_verification(self, n):
+        trees = balanced_trees(n)
+        for lower, upper in comparable_pairs(trees, trees):
+            assert verify_hypercube(lower, upper) == verify_by_subsets(lower, upper)
+
+    def test_a_dropped_root_is_not_a_cube(self, monkeypatch):
+        real = intervals.rotation_root_set
+        dropped = []
+
+        def one_short(t0, t1):
+            roots = real(t0, t1)
+            return RotationRootSet(t0, roots.ranks - {dropped[-1]})
+
+        monkeypatch.setattr(intervals, "rotation_root_set", one_short)
+        trees = balanced_trees(8)
+        checked = 0
+        for lower, upper in comparable_pairs(trees, trees):
+            ranks = real(lower, upper).ranks
+            for rank in ranks:
+                dropped.append(rank)
+                assert verify_hypercube(lower, upper) == (len(ranks) - 1, False)
+                checked += 1
+        assert checked > 100
+
     def test_singleton(self):
         t = parse("((..)(..))")
         assert verify_hypercube(t, t) == (0, True)
@@ -197,6 +248,34 @@ class TestIntervalCounts:
         assert result.stdout.count("is not a hypercube") == 2
         assert "table disagrees at (0, 0): (9, 9) vs (2, 1)" in result.stdout
 
+
+    def test_dimension_routes_disagree_under_optimize(self):
+        script = "\n".join(
+            [
+                "from tamari_balance import intervals",
+                "real_verify = intervals.verify_hypercube",
+                "def one_too_many(lower, upper):",
+                "    k, _ = real_verify(lower, upper)",
+                "    return k + 1, True",
+                "intervals.verify_hypercube = one_too_many",
+                "try:",
+                "    intervals.hypercube_histogram(4)",
+                "except intervals.CrossCheckError as exc:",
+                "    print(exc.routes, exc.values)",
+                "    print(exc)",
+                "else:",
+                "    raise SystemExit('no error raised')",
+            ]
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == [
+            "('root set', 'bracket vectors') (1, 0)",
+            "cube dimension routes disagree on "
+            "[(((..).)(..)), (((..).)(..))]: 1 vs 0",
+        ]
 
     @pytest.mark.parametrize(
         "values", [(4, 2), (Polynomial.constant(3), Polynomial.variable("xi"))]

@@ -66,7 +66,7 @@ CLI_ROWS = [
         id="check-closure-balanced",
     ),
     pytest.param(
-        limits.CHECK_SWEEP.bound,
+        limits.CHECK_HYPERCUBE.bound,
         _argv("check", "hypercube", "--max-n"),
         "--max-n must lie in 0..{bound}, got {past}",
         id="check-hypercube",

@@ -1,10 +1,11 @@
+import random
 from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_trees
+from conftest import cover_walk_interval, small_trees
 from tamari_balance import tamari
 from tamari_balance.balance import balanced_trees
 from tamari_balance.families import closure_check
@@ -203,6 +204,56 @@ def test_interval_agrees_with_poset_route():
                 continue
             expected = sorted((elements[k] for k in members), key=serialize)
             assert interval(elements[i], elements[j]) == tuple(expected)
+
+
+def test_vector_moves_are_the_covers():
+    for n in range(8):
+        for t in all_trees(n):
+            vector = bracket_vector(t)
+            moves = list(tamari._vector_moves(t))
+            assert [rank for rank, _, _ in moves] == list(rotation_ranks(t))
+            for rank, i, value in moves:
+                raised = vector[:i] + (value,) + vector[i + 1 :]
+                assert bracket_vector(right_rotation(t, rank)) == raised
+
+
+def test_interval_walk_matches_the_cover_walk_exhaustively():
+    for n in range(7):
+        trees = all_trees(n)
+        for lower, upper in comparable_pairs(trees, trees):
+            members = tamari._interval_members(lower, upper)
+            assert members == cover_walk_interval(lower, upper)
+
+
+def _random_tree(rng, n):
+    if n == 0:
+        return LEAF
+    k = rng.randrange(n)
+    return node(_random_tree(rng, k), _random_tree(rng, n - 1 - k))
+
+
+def _random_pair(rng, n):
+    lower = upper = _random_tree(rng, n)
+    for _ in range(rng.randrange(1, 3 * n)):
+        if not covers(upper):
+            break
+        upper = rng.choice(covers(upper))
+    return lower, upper
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+def test_interval_walk_matches_the_cover_walk_on_random_pairs(n):
+    rng = random.Random(n)
+    pairs = [_random_pair(rng, n) for _ in range(12)]
+    if n == 10:
+        left_comb = right_comb = LEAF
+        for _ in range(n):
+            left_comb = node(left_comb, LEAF)
+            right_comb = node(LEAF, right_comb)
+        pairs.append((left_comb, right_comb))
+    for lower, upper in pairs:
+        members = tamari._interval_members(lower, upper)
+        assert members == cover_walk_interval(lower, upper)
 
 
 def test_poset_three_nodes_has_five_cover_edges():
