@@ -28,14 +28,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  argparse's gettext needs it; load it here, not in main
 import re
 import sys
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from . import fixtures, limits
 from .balance import balanced_trees
@@ -64,13 +61,7 @@ from .intervals import (
 )
 from .patterns import BalanceFlag, classify_balanced, interior_count
 from .polynomials import Polynomial
-from .tamari import (
-    IncomparableError,
-    covers,
-    hasse_dot,
-    interval,
-    tamari_poset,
-)
+from .tamari import _interval_members, hasse_dot, tamari_leq, tamari_poset
 from .trees import TreeParseError, parse, serialize
 
 
@@ -387,8 +378,7 @@ def _counterexample_payload(found: ClosureCounterexample) -> dict:
     }
 
 
-def _closure_at(task: tuple[int, ImbalanceSet]) -> dict | None:
-    n, allowed = task
+def _closure_at(n: int, allowed: ImbalanceSet) -> dict | None:
     found = closure_check(imbalance_family(n, allowed))
     return None if found is None else _counterexample_payload(found)
 
@@ -404,31 +394,6 @@ def _hypercube_at(n: int) -> dict:
         ],
         "failing": None,
     }
-
-
-def _run_over_sizes(worker: Callable, tasks: list, jobs: int) -> Iterator:
-    """Yield ``worker(task)`` for each task in order, as the caller reads.
-
-    Above one job, a pool runs at most one task per worker ahead of the
-    caller.  Closing the generator, as a report that stops at a
-    counterexample does, shuts the pool down: it cancels what has not
-    started and waits only for those few tasks.
-    """
-    # A forking pool starts every worker at once: no more than the tasks.
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        yield from map(worker, tasks)
-        return
-    pool = ProcessPoolExecutor(max_workers=workers)
-    try:
-        waiting = iter(tasks)
-        ahead = deque(pool.submit(worker, task) for task in islice(waiting, workers))
-        while ahead:
-            outcome = ahead.popleft().result()
-            ahead.extend(pool.submit(worker, task) for task in islice(waiting, 1))
-            yield outcome
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _report(
@@ -455,25 +420,22 @@ _CHECK_PROPERTIES = ("closure-balanced", "closure-vbalanced", "hypercube")
 def _check_closure(
     args: argparse.Namespace, allowed: ImbalanceSet, family: str
 ) -> int:
-    sizes = list(range(args.max_n + 1))
     results = []
     lines = []
     verdict = "PASS"
-    with closing(
-        _run_over_sizes(_closure_at, [(n, allowed) for n in sizes], args.jobs)
-    ) as outcomes:
-        for n, outcome in zip(sizes, outcomes):
-            results.append({"n": n, "counterexample": outcome})
-            if outcome is None:
-                lines.append(f"n={n}: closed")
-                continue
-            chain = " -> ".join(outcome["chain"])
-            lines.append(
-                f"n={n}: counterexample {chain}; "
-                f"outside the family at step {outcome['failing_index']}"
-            )
-            verdict = "FAIL"
-            break
+    for n in range(args.max_n + 1):
+        outcome = _closure_at(n, allowed)
+        results.append({"n": n, "counterexample": outcome})
+        if outcome is None:
+            lines.append(f"n={n}: closed")
+            continue
+        chain = " -> ".join(outcome["chain"])
+        lines.append(
+            f"n={n}: counterexample {chain}; "
+            f"outside the family at step {outcome['failing_index']}"
+        )
+        verdict = "FAIL"
+        break
     if verdict == "PASS":
         lines.append(
             f"PASS: family {family} is closed under the rotation order "
@@ -485,11 +447,10 @@ def _check_closure(
 
 
 def _check_hypercube(args: argparse.Namespace) -> int:
-    sizes = list(range(args.max_n + 1))
-    outcomes = _run_over_sizes(_hypercube_at, sizes, args.jobs)
     results = []
     lines = []
-    for n, outcome in zip(sizes, outcomes):
+    for n in range(args.max_n + 1):
+        outcome = _hypercube_at(n)
         results.append({"n": n, **outcome})
         dims = ", ".join(
             f"{row['dimension']}:{row['count']}" for row in outcome["dimensions"]
@@ -513,8 +474,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     ).bound
     if not 0 <= args.max_n <= cap:
         raise UsageError(f"--max-n must lie in 0..{cap}, got {args.max_n}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be positive, got {args.jobs}")
     if args.property == "closure-vbalanced":
         if args.v is None:
             raise UsageError("closure-vbalanced needs --v, an imbalance set")
@@ -560,18 +519,15 @@ def _hasse_graph(args: argparse.Namespace) -> tuple[str, int, int]:
             f"{lower.node_count} and {upper.node_count} nodes"
         )
     _capped("hasse interval", limits.HASSE_INTERVAL, lower.node_count)
-    try:
-        trees = interval(lower, upper)
-    except IncomparableError:
+    if not tamari_leq(lower, upper):
         raise UsageError(
             f"empty interval: {args.lower} does not precede {args.upper}"
-        ) from None
-    members = set(trees)
-    edges = [(t, c) for t in trees for c in covers(t) if c in members]
+        )
+    members, edges = _interval_members(lower, upper)
     dot = hasse_dot(
-        trees, edges, highlight=frozenset({lower, upper}), graph_name="interval"
+        members, edges, highlight=frozenset({lower, upper}), graph_name="interval"
     )
-    return dot, len(trees), len(edges)
+    return dot, len(members), len(edges)
 
 
 def cmd_hasse(args: argparse.Namespace) -> int:
@@ -590,8 +546,11 @@ def cmd_hasse(args: argparse.Namespace) -> int:
     else:
         rendered = dot
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out file: {exc}") from exc
         if not args.json:
             print(f"wrote {nodes} nodes, {edges} edges to {args.out}")
     else:
@@ -670,9 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--v", help="imbalance set for closure-vbalanced, e.g. -2..0 or 0,1"
-    )
-    p_check.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for the sweep"
     )
     p_check.add_argument("--json", action="store_true", help="emit JSON")
     p_check.set_defaults(handler=cmd_check)

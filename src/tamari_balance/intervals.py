@@ -44,13 +44,8 @@ class CrossCheckError(AssertionError):
 
     def __init__(self, what: str, routes: tuple[str, str], values: tuple):
         super().__init__(f"{what}: {values[0]} vs {values[1]}")
-        self._what = what
         self.routes = routes
         self.values = values
-
-    def __reduce__(self):
-        # Rebuilt from its arguments, so it crosses back from a worker.
-        return type(self), (self._what, self.routes, self.values)
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,7 @@ def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
             raise AssertionError("root rotations failed to commute")
     if len(set(images)) != 1 << k:
         return k, False
-    if set(images) != _interval_members(t0, t1):
+    if set(images) != _interval_members(t0, t1)[0]:
         return k, False
     lower, upper = bracket_vector(t0), bracket_vector(t1)
     vectors = [bracket_vector(image) for image in images]
@@ -205,7 +200,7 @@ def _dimension_histogram(
             raise CrossCheckError(
                 f"[{serialize(lower)}, {serialize(upper)}] is not a hypercube",
                 ("subset images", "cover walk"),
-                (1 << k, len(_interval_members(lower, upper))),
+                (1 << k, len(_interval_members(lower, upper)[0])),
             )
         differing = len(
             _differing_entries(bracket_vector(lower), bracket_vector(upper))

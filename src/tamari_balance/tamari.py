@@ -218,11 +218,15 @@ def interval(t0: BinaryTree, t1: BinaryTree) -> tuple[BinaryTree, ...]:
     """
     if not tamari_leq(t0, t1):
         raise IncomparableError(f"{serialize(t0)} is not below {serialize(t1)}")
-    return tuple(sorted_by_text(_interval_members(t0, t1)))
+    return tuple(sorted_by_text(_interval_members(t0, t1)[0]))
 
 
-def _interval_members(t0: BinaryTree, t1: BinaryTree) -> set[BinaryTree]:
-    """The set of trees ``t`` with ``t0 <= t <= t1``, for ``t0 <= t1``.
+def _interval_members(
+    t0: BinaryTree, t1: BinaryTree
+) -> tuple[set[BinaryTree], list[tuple[BinaryTree, BinaryTree]]]:
+    """The set of trees ``t`` with ``t0 <= t <= t1``, for ``t0 <= t1``,
+    and the ``(member, cover)`` pairs among them: the interval's Hasse
+    diagram.
 
     Every member lies on a chain of covers from ``t0`` that stays below
     ``t1``.  A cover changes one vector entry, so the walk compares that
@@ -232,6 +236,7 @@ def _interval_members(t0: BinaryTree, t1: BinaryTree) -> set[BinaryTree]:
     upper = bracket_vector(t1)
     start = bracket_vector(t0)
     members = {start: t0}
+    edges = []
     stack = [(t0, start)]
     while stack:
         t, vector = stack.pop()
@@ -239,11 +244,13 @@ def _interval_members(t0: BinaryTree, t1: BinaryTree) -> set[BinaryTree]:
             if value > upper[i]:
                 continue
             raised = vector[:i] + (value,) + vector[i + 1 :]
-            if raised not in members:
+            nxt = members.get(raised)
+            if nxt is None:
                 nxt = right_rotation(t, rank)
                 members[raised] = nxt
                 stack.append((nxt, raised))
-    return set(members.values())
+            edges.append((t, nxt))
+    return set(members.values()), edges
 
 
 class TamariPoset:

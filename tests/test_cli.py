@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-from concurrent.futures import Future
 
 import pytest
 
@@ -391,8 +390,7 @@ class TestCheck:
         assert dims[3] == 1
         assert sum(dims.values()) == 52
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_non_cube_is_a_fail(self, capsys, monkeypatch, jobs):
+    def test_non_cube_is_a_fail(self, capsys, monkeypatch):
         real = intervals.verify_hypercube
         bad = (parse("((..)((..).))"), parse("((..)(.(..)))"))
 
@@ -401,7 +399,7 @@ class TestCheck:
             return (2, False) if (lower, upper) == bad else (k, ok)
 
         monkeypatch.setattr(intervals, "verify_hypercube", claims_a_square)
-        argv = ("check", "hypercube", "--max-n", "5", "--jobs", jobs)
+        argv = ("check", "hypercube", "--max-n", "5")
         error = "[((..)((..).)), ((..)(.(..)))] is not a hypercube: 4 vs 2"
         code, out, err = run(capsys, *argv)
         assert code == 1
@@ -419,9 +417,9 @@ class TestCheck:
         swept = []
         real = cli._closure_at
 
-        def recording(task):
-            swept.append(task[0])
-            return real(task)
+        def recording(n, allowed):
+            swept.append(n)
+            return real(n, allowed)
 
         monkeypatch.setattr(cli, "_closure_at", recording)
         code, out, _ = run(
@@ -430,71 +428,6 @@ class TestCheck:
         assert code == 1
         assert out.splitlines()[-1].endswith("first break at n=7")
         assert swept == list(range(8))
-
-    def test_pool_sweep_stops_at_the_first_break(self, capsys):
-        argv = ("check", "closure-vbalanced", "--v=-5..5", "--max-n", "12")
-        serial = run(capsys, *argv)
-        assert serial[0] == 1
-        assert serial[1].splitlines()[-1].endswith("first break at n=7")
-        assert run(capsys, *argv, "--jobs", "2") == serial
-
-    def test_pool_runs_one_task_per_worker_ahead(self, monkeypatch):
-        submitted = []
-        real = cli._closure_at
-
-        def recording(task):
-            submitted.append(task[0])
-            return real(task)
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pass
-
-            def submit(self, fn, task):
-                future = Future()
-                future.set_result(fn(task))
-                return future
-
-            def shutdown(self, cancel_futures=False):
-                assert cancel_futures
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        tasks = [(n, cli.ImbalanceSet.of(-2, -1, 0)) for n in range(13)]
-        outcomes = cli._run_over_sizes(recording, tasks, 2)
-        assert [next(outcomes) for _ in range(3)] == [None, None, None]
-        outcomes.close()
-        assert submitted == [0, 1, 2, 3, 4]
-
-    def test_check_with_jobs(self, capsys):
-        code, payload = run_json(
-            capsys, "check", "closure-balanced", "--max-n", "6", "--jobs", "2"
-        )
-        assert code == 0
-        assert payload["verdict"] == "PASS"
-        assert [r["n"] for r in payload["results"]] == list(range(7))
-
-    def test_jobs_never_exceed_the_sizes(self, capsys, monkeypatch):
-        pools = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def submit(self, fn, task):
-                future = Future()
-                future.set_result(fn(task))
-                return future
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-        code, payload = run_json(
-            capsys, "check", "closure-balanced", "--max-n", "3", "--jobs", "1000"
-        )
-        assert code == 0
-        assert payload["verdict"] == "PASS"
-        assert pools == [4]
 
     @pytest.mark.parametrize(
         "prop, worker, outcome",
@@ -512,16 +445,15 @@ class TestCheck:
     ):
         swept = []
 
-        def stub(task):
-            swept.append(task)
+        def stub(n, *allowed):
+            swept.append(n)
             return outcome
 
         monkeypatch.setattr(cli, worker, stub)
         code, payload = run_json(capsys, "check", prop)
         assert code == 0
         assert payload["max_n"] == limits.CHECK_SWEEP.bound
-        sizes = [task[0] if isinstance(task, tuple) else task for task in swept]
-        assert sizes == list(range(limits.CHECK_SWEEP.bound + 1))
+        assert swept == list(range(limits.CHECK_SWEEP.bound + 1))
 
     def test_hypercube_has_its_own_cap(self, capsys, monkeypatch):
         outcome = {"trees": 1, "intervals": 1, "dimensions": [], "failing": None}
@@ -570,6 +502,13 @@ class TestCheck:
         assert code == 2
         assert "0..12" in err
 
+    def test_jobs_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "closure-balanced", "--jobs", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --jobs 2" in err
+
 
 class TestHasse:
     def test_tamari_three(self, capsys):
@@ -614,6 +553,18 @@ class TestHasse:
         assert "wrote 5 nodes, 5 edges" in out
         assert target.read_text().startswith("digraph hasse {")
 
+    @pytest.mark.parametrize("fmt", [(), ("--json",)])
+    def test_unwritable_out_file(self, capsys, tmp_path, fmt):
+        target = tmp_path / "missing" / "t3.dot"
+        code, out, err = run(
+            capsys, "hasse", "tamari", "3", *fmt, "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out file: ")
+        assert str(target) in err
+        assert not target.exists()
+
     def test_empty_interval_rejected(self, capsys):
         code, _, err = run(capsys, "hasse", "interval", "(.(..))", "((..).)")
         assert code == 2
@@ -652,3 +603,18 @@ class TestUsage:
         )
         assert result.returncode == 0
         assert "PASS" in result.stdout
+
+    def test_import_starts_no_process_pool(self):
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, tamari_balance.cli; "
+            "print(*(m in sys.modules for m in "
+            "('multiprocessing', 'concurrent.futures', 'locale')))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "False", "True"]

@@ -1,6 +1,5 @@
 """Tests for the hypercube structure of balanced intervals."""
 
-import pickle
 import subprocess
 import sys
 
@@ -276,17 +275,6 @@ class TestIntervalCounts:
             "cube dimension routes disagree on "
             "[(((..).)(..)), (((..).)(..))]: 1 vs 0",
         ]
-
-    @pytest.mark.parametrize(
-        "values", [(4, 2), (Polynomial.constant(3), Polynomial.variable("xi"))]
-    )
-    def test_cross_check_error_survives_pickling(self, values):
-        exc = CrossCheckError("routes disagree", ("brute", "series"), values)
-        back = pickle.loads(pickle.dumps(exc))
-        assert type(back) is CrossCheckError
-        assert str(back) == str(exc)
-        assert back.routes == exc.routes
-        assert back.values == exc.values
 
 
 class TestUnbalancingPersistence:

@@ -217,12 +217,20 @@ def test_vector_moves_are_the_covers():
                 assert bracket_vector(right_rotation(t, rank)) == raised
 
 
+def assert_hasse_edges(members, edges):
+    """``edges`` are the covers inside ``members``, each pair once."""
+    expected = {(t, c) for t in members for c in covers(t) if c in members}
+    assert len(edges) == len(expected)
+    assert set(edges) == expected
+
+
 def test_interval_walk_matches_the_cover_walk_exhaustively():
     for n in range(7):
         trees = all_trees(n)
         for lower, upper in comparable_pairs(trees, trees):
-            members = tamari._interval_members(lower, upper)
+            members, edges = tamari._interval_members(lower, upper)
             assert members == cover_walk_interval(lower, upper)
+            assert_hasse_edges(members, edges)
 
 
 def _random_tree(rng, n):
@@ -252,8 +260,9 @@ def test_interval_walk_matches_the_cover_walk_on_random_pairs(n):
             right_comb = node(LEAF, right_comb)
         pairs.append((left_comb, right_comb))
     for lower, upper in pairs:
-        members = tamari._interval_members(lower, upper)
+        members, edges = tamari._interval_members(lower, upper)
         assert members == cover_walk_interval(lower, upper)
+        assert_hasse_edges(members, edges)
 
 
 def test_poset_three_nodes_has_five_cover_edges():
