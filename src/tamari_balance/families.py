@@ -6,10 +6,10 @@ by interval in the rotation order, and covers the companion families:
 weight-balanced trees, trees with a fixed canopy, and trees with a fixed
 number of right children.
 
-:func:`closure_check` works from a family's own members and asks
+:func:`closure_check` works from a family's own members and their
+bracket vectors: it builds only the covers that leave the family and asks
 :func:`~tamari_balance.tamari.comparable_pairs` which members lie above
-the covers that leave the family; the materialized
-:func:`~tamari_balance.tamari.tamari_poset` serves Hasse export and tests.
+them.
 
 This is the one generator of imbalance families: the (size, height)
 levels built here give every such family, the balanced trees of
@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import limits
-from .tamari import comparable_pairs, covers, phi, tamari_leq
+from .tamari import _vector_moves, bracket_vector, comparable_pairs, phi, right_rotation
 from .trees import (
     LEAF,
     BinaryTree,
@@ -224,15 +224,27 @@ def closure_check(
     members = tuple(members)
     if len({t.node_count for t in members}) > 1:
         raise ValueError("closure check needs trees of one size")
-    inside = set(members)
-    leaving = (u for t in members for u in covers(t) if u not in inside)
-    for u, v in comparable_pairs(leaving, members):
-        # The walk reached u from the first member that has u as a cover:
-        # an earlier one would have offered u, with v above it, sooner.
-        s = next(t for t in members if u in covers(t))
-        chain = [s, u]
+    vectors = [bracket_vector(t) for t in members]
+    # Member vectors map to None, each leaving cover's vector to the first
+    # member that reached it.  Only leaving covers are built, each once: no
+    # member was above one the first time, so none is above it later.
+    reached: dict[tuple[int, ...], BinaryTree | None] = dict.fromkeys(vectors)
+
+    def leaving():
+        for t, vector in zip(members, vectors):
+            for rank, i, value in _vector_moves(t):
+                raised = vector[:i] + (value,) + vector[i + 1 :]
+                if raised not in reached:
+                    reached[raised] = t
+                    yield right_rotation(t, rank)
+
+    for u, v in comparable_pairs(leaving(), members):
+        upper = bracket_vector(v)
+        chain = [reached[bracket_vector(u)], u]
         while chain[-1] != v:
-            chain.append(next(c for c in covers(chain[-1]) if tamari_leq(c, v)))
+            # The lowest-rank cover still below v: its raised entry is at most v's.
+            rank = next(r for r, i, x in _vector_moves(chain[-1]) if x <= upper[i])
+            chain.append(right_rotation(chain[-1], rank))
         return ClosureCounterexample(tuple(chain), failing_index=1)
     return None
 

@@ -70,7 +70,7 @@ BRUTE_INTERVALS = Limit(
 )
 CHECK_SWEEP = Limit(
     12, "check closure sweep size",
-    "closure-vbalanced --v=.. walks the covers of all 208,012 trees at n=12 in 14 s",
+    "closure-vbalanced --v=.. checks all 208,012 trees at n=12 in 4.8-5.1 s and 152 MB",
 )
 CHECK_HYPERCUBE = Limit(
     16, "check hypercube size",
@@ -79,7 +79,7 @@ CHECK_HYPERCUBE = Limit(
 )
 HASSE_TAMARI = Limit(
     10, "hasse tamari node count",
-    "n=10 is 16,796 trees and 2.3 MB of DOT in 2.5 s",
+    "n=10 is 16,796 trees and 2.3 MB of DOT in 0.6 s and 49 MB",
 )
 HASSE_BALANCED = Limit(
     15, "hasse balanced node count",

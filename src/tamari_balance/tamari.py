@@ -11,9 +11,10 @@ The order is decided without search by the bracket-vector criterion of
 Huang and Tamari (1972): ``T0 <= T1`` exactly when every entry of
 :func:`bracket_vector` of ``T0``, the right-subtree sizes in infix order,
 is at most the same entry for ``T1``.  Which trees of one list lie
-above which trees of another is decided by :func:`comparable_pairs`.
+above which trees of another is decided by :func:`comparable_pairs`;
+walks through the order step by :func:`_vector_moves`.
 :func:`tamari_poset` materializes all trees of one size with their cover
-edges and reachability masks; it serves Hasse export and test oracles.
+edges and reachability masks; it is the test oracle for these routes.
 """
 
 from __future__ import annotations
@@ -258,7 +259,8 @@ class TamariPoset:
 
     Elements are indexed in the :func:`~tamari_balance.trees.all_trees`
     order.  Reachability sets are integer bitmasks over those indices,
-    computed on demand per queried source and then cached.
+    computed on demand per queried source by breadth-first search and
+    then cached.  No library route uses it; it is a test oracle.
     """
 
     def __init__(self, n: int):
@@ -326,28 +328,6 @@ class TamariPoset:
             mask = self._reach_mask(j, self._reverse_edges())
             self._down[j] = mask
         return mask
-
-    def interval_indices(self, i: int, j: int) -> list[int]:
-        """Indices of the interval ``[elements[i], elements[j]]``."""
-        return mask_indices(self.up_mask(i) & self.down_mask(j))
-
-    def mask_of(self, trees) -> int:
-        """Bitmask selecting the given trees."""
-        mask = 0
-        for t in trees:
-            mask |= 1 << self.index(t)
-        return mask
-
-    def to_dot(self) -> str:
-        """Hasse diagram in DOT format, nodes sorted by tree string."""
-        return hasse_dot(
-            self.elements,
-            [
-                (t, self.elements[j])
-                for t, outs in zip(self.elements, self.cover_edges)
-                for j in outs
-            ],
-        )
 
 
 def mask_indices(mask: int) -> list[int]:

@@ -63,6 +63,7 @@ from tamari_balance.tamari import (
     TamariPoset,
     covers,
     left_rotation,
+    mask_indices,
     phi,
     right_rotation,
     rotation_ranks,
@@ -125,7 +126,7 @@ def test_ac03_balanced_intervals_are_hypercubes():
                     continue
                 k, ok = verify_hypercube(lower, upper)
                 assert ok, f"[{serialize(lower)}, {serialize(upper)}]"
-                size = len(poset.interval_indices(i, j))
+                size = (poset.up_mask(i) & poset.down_mask(j)).bit_count()
                 assert size == 1 << k
                 histogram[k] += 1
                 weighted += 1 << k
@@ -283,8 +284,9 @@ def test_ac09_tree_families():
             cls = canopy_class(word, n)
             members = set(cls.members)
             covered += len(members)
-            span = poset.interval_indices(
-                poset.index(cls.lower), poset.index(cls.upper)
+            span = mask_indices(
+                poset.up_mask(poset.index(cls.lower))
+                & poset.down_mask(poset.index(cls.upper))
             )
             assert members == {poset.elements[i] for i in span}
         assert covered == len(poset)

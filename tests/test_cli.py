@@ -580,6 +580,13 @@ class TestHasse:
         assert code == 2
         assert err == "error: unclosed '(' (offset 5)\n"
 
+    @pytest.mark.parametrize("target", ["tamari", "balanced"])
+    def test_negative_size_rejected(self, capsys, target):
+        code, out, err = run(capsys, "hasse", target, "-1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: hasse {target} needs a nonnegative n, got -1\n"
+
     def test_tamari_capped(self, capsys):
         code, _, err = run(capsys, "hasse", "tamari", "11")
         assert code == 2

@@ -1,5 +1,6 @@
 """Tests for imbalance-set families, weight balance, canopy and right-child classes."""
 
+import random
 from math import comb
 
 import pytest
@@ -30,7 +31,9 @@ from tamari_balance.fixtures import (
     ZERO_ONE_BALANCED_COUNTS,
 )
 from tamari_balance.tamari import (
+    comparable_pairs,
     covers,
+    mask_indices,
     right_rotation,
     rotation_ranks,
     tamari_leq,
@@ -322,8 +325,8 @@ def assert_matches_definition(poset, members):
     The family is closed when, for members s and v, every tree of
     ``[s, v]`` is a member; a returned chain must be a valid certificate.
     """
-    inside = poset.mask_of(members)
     indices = [poset.index(t) for t in members]
+    inside = sum(1 << i for i in indices)
     closed = all(
         poset.up_mask(i) & poset.down_mask(j) & ~inside == 0
         for i in indices
@@ -350,6 +353,38 @@ class TestClosureOracle:
         for n in range(9):
             for k in range(max(n, 1)):
                 assert_matches_definition(small_posets[n], narayana_class(n, k))
+
+
+def closure_check_by_covers(members):
+    """The cover-building closure check that ``closure_check`` replaced."""
+    members = tuple(members)
+    inside = set(members)
+    leaving = (u for t in members for u in covers(t) if u not in inside)
+    for u, v in comparable_pairs(leaving, members):
+        s = next(t for t in members if u in covers(t))
+        chain = [s, u]
+        while chain[-1] != v:
+            chain.append(next(c for c in covers(chain[-1]) if tamari_leq(c, v)))
+        return ClosureCounterexample(tuple(chain), failing_index=1)
+    return None
+
+
+REFERENCE_SETS = [
+    "..", "-2..2", "-1..1", "0..2", "-2..0", "-3..1", "-5..5",
+    "0", "0,1", "-1,0", "0,2", "-3,0,3",
+]
+
+
+@pytest.mark.parametrize("text", REFERENCE_SETS)
+def test_closure_check_matches_the_cover_reference(text):
+    # The chain depends on the member order, so both orders are compared.
+    rng = random.Random(text)
+    v = ImbalanceSet.parse(text)
+    for n in range(10):
+        members = list(imbalance_family(n, v))
+        shuffled = rng.sample(members, len(members))
+        for order in (members, shuffled):
+            assert closure_check(order) == closure_check_by_covers(order)
 
 
 class TestReferenceChains:
@@ -530,7 +565,8 @@ class TestCanopyClasses:
             cls = canopy_class(word, n)
             assert set(cls.members) == set(members)
             i, j = poset.index(cls.lower), poset.index(cls.upper)
-            inside = {poset.elements[k] for k in poset.interval_indices(i, j)}
+            span = mask_indices(poset.up_mask(i) & poset.down_mask(j))
+            inside = {poset.elements[k] for k in span}
             assert inside == set(members)
 
     @pytest.mark.parametrize("n", range(1, 9))

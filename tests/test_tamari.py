@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cover_walk_interval, small_trees
-from tamari_balance import tamari
+from tamari_balance import cli, families, intervals, tamari
 from tamari_balance.balance import balanced_trees
 from tamari_balance.families import closure_check
 from tamari_balance.tamari import (
@@ -19,6 +19,7 @@ from tamari_balance.tamari import (
     hasse_dot,
     interval,
     left_rotation,
+    mask_indices,
     phi,
     right_rotation,
     rotation_ranks,
@@ -197,7 +198,7 @@ def test_interval_agrees_with_poset_route():
     elements = poset.elements
     for i in range(0, len(elements), 3):
         for j in range(0, len(elements), 4):
-            members = poset.interval_indices(i, j)
+            members = mask_indices(poset.up_mask(i) & poset.down_mask(j))
             if not members:
                 with pytest.raises(IncomparableError):
                     interval(elements[i], elements[j])
@@ -291,7 +292,8 @@ def test_poset_sizes_and_masks():
     assert poset.down_mask(top).bit_count() == 14
     assert poset.up_mask(bottom) >> top & 1
     assert not poset.up_mask(top) >> bottom & 1
-    assert sorted(poset.interval_indices(bottom, top)) == list(range(14))
+    whole = poset.up_mask(bottom) & poset.down_mask(top)
+    assert mask_indices(whole) == list(range(14))
 
 
 def test_poset_zero_and_guard():
@@ -375,10 +377,25 @@ def test_comparable_pairs_build_the_index_on_the_first_lower(monkeypatch):
     assert list(comparable_pairs(iter(()), all_trees(4))) == []
 
 
-def test_dot_output_is_deterministic_and_complete():
-    poset = tamari_poset(3)
-    dot = poset.to_dot()
-    assert dot == poset.to_dot()
+def hasse_tamari(capsys, n):
+    assert cli.main(["hasse", "tamari", str(n)]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_hasse_tamari_matches_the_poset_oracle(capsys, n):
+    poset = tamari_poset(n)
+    edges = [
+        (t, poset.elements[j])
+        for t, outs in zip(poset.elements, poset.cover_edges)
+        for j in outs
+    ]
+    assert hasse_tamari(capsys, n) == hasse_dot(poset.elements, edges) + "\n"
+
+
+def test_dot_output_is_deterministic_and_complete(capsys):
+    dot = hasse_tamari(capsys, 3)
+    assert dot == hasse_tamari(capsys, 3)
     assert dot.startswith("digraph hasse {")
     assert dot.count(" -> ") == 5
     assert dot.count("label=") == 5
@@ -391,3 +408,9 @@ def test_hasse_dot_highlights():
     t = parse("(..)")
     dot = hasse_dot([t], [], highlight={t})
     assert "fillcolor" in dot
+
+
+@pytest.mark.parametrize("module", [cli, families, intervals])
+def test_production_modules_walk_the_order_without_covers_or_posets(module):
+    names = {"covers", "tamari_poset", "TamariPoset"}
+    assert names.isdisjoint(vars(module))
