@@ -15,6 +15,7 @@ from a pair that :func:`verify_hypercube` has just verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable
 
 from .balance import RotationKind, classify_rotation, balanced_trees, is_balanced
@@ -23,14 +24,14 @@ from .patterns import BalanceFlag, classify_balanced
 from .polynomials import Monomial, Polynomial
 from .tamari import (
     IncomparableError,
-    _interval_members,
+    _members_between,
+    _size_mismatch,
     _vector_moves,
     bracket_vector,
     comparable_pairs,
     hasse_dot,
     right_rotation,
     rotation_ranks,
-    tamari_leq,
 )
 from .trees import BinaryTree, child_ranks, serialize, sorted_by_text
 
@@ -75,10 +76,19 @@ class RotationRootSet:
         return ascending
 
 
-def _require_balanced_pair(t0: BinaryTree, t1: BinaryTree) -> None:
+# The private helpers below take the endpoints' bracket vectors
+# ``lower`` and ``upper`` along with the endpoints, so a sweep over many
+# pairs computes each tree's vector once.
+
+
+def _require_balanced_pair(
+    t0: BinaryTree, t1: BinaryTree, lower: tuple[int, ...], upper: tuple[int, ...]
+) -> None:
     if not is_balanced(t0) or not is_balanced(t1):
         raise ValueError("both interval endpoints must be balanced")
-    if not tamari_leq(t0, t1):
+    if len(lower) != len(upper):
+        raise _size_mismatch(len(lower), len(upper))
+    if not all(map(le, lower, upper)):
         raise IncomparableError(
             f"{serialize(t0)} is not below {serialize(t1)}"
         )
@@ -93,8 +103,14 @@ def rotation_root_set(t0: BinaryTree, t1: BinaryTree) -> RotationRootSet:
     order-independent; a replay in the opposite order is checked.
     Endpoints must be balanced and comparable.
     """
-    _require_balanced_pair(t0, t1)
-    upper = bracket_vector(t1)
+    return _root_set(t0, t1, bracket_vector(t0), bracket_vector(t1))
+
+
+def _root_set(
+    t0: BinaryTree, t1: BinaryTree, lower: tuple[int, ...], upper: tuple[int, ...]
+) -> RotationRootSet:
+    """:func:`rotation_root_set`, given the endpoints' bracket vectors."""
+    _require_balanced_pair(t0, t1, lower, upper)
     ranks: list[int] = []
     cur = t0
     while cur != t1:
@@ -137,7 +153,14 @@ def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
     differ, and each image's vector mixes the endpoints on its subset's
     entries (Huang and Tamari, 1972).
     """
-    roots = rotation_root_set(t0, t1)
+    return _verify_cube(t0, t1, bracket_vector(t0), bracket_vector(t1))
+
+
+def _verify_cube(
+    t0: BinaryTree, t1: BinaryTree, lower: tuple[int, ...], upper: tuple[int, ...]
+) -> tuple[int, bool]:
+    """:func:`verify_hypercube`, given the endpoints' bracket vectors."""
+    roots = _root_set(t0, t1, lower, upper)
     ranks = sorted(roots.ranks)
     k = len(ranks)
     # The image of S rotated in ascending and in descending rank order:
@@ -155,9 +178,8 @@ def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
             raise AssertionError("root rotations failed to commute")
     if len(set(images)) != 1 << k:
         return k, False
-    if set(images) != _interval_members(t0, t1)[0]:
+    if set(images) != _members_between(t0, lower, upper)[0]:
         return k, False
-    lower, upper = bracket_vector(t0), bracket_vector(t1)
     vectors = [bracket_vector(image) for image in images]
     # Each root raises one entry, from the lower endpoint's to the upper's.
     entries = []
@@ -192,19 +214,24 @@ def _dimension_histogram(
     :class:`CrossCheckError`, its ``2^k`` subset images against the
     interval that the cover walk finds, and so does a dimension other
     than the number of entries where the endpoints' bracket vectors
-    differ."""
+    differ.  Each tree's vector is computed once per call."""
     histogram: dict[int, int] = {}
+    vectors: dict[BinaryTree, tuple[int, ...]] = {}
     for lower, upper in pairs:
-        k, ok = verify_hypercube(lower, upper)
+        low = vectors.get(lower)
+        if low is None:
+            low = vectors[lower] = bracket_vector(lower)
+        high = vectors.get(upper)
+        if high is None:
+            high = vectors[upper] = bracket_vector(upper)
+        k, ok = _verify_cube(lower, upper, low, high)
         if not ok:
             raise CrossCheckError(
                 f"[{serialize(lower)}, {serialize(upper)}] is not a hypercube",
                 ("subset images", "cover walk"),
-                (1 << k, len(_interval_members(lower, upper)[0])),
+                (1 << k, len(_members_between(lower, low, high)[0])),
             )
-        differing = len(
-            _differing_entries(bracket_vector(lower), bracket_vector(upper))
-        )
+        differing = len(_differing_entries(low, high))
         if k != differing:
             raise CrossCheckError(
                 f"cube dimension routes disagree on "

@@ -32,7 +32,7 @@ class Limit:
 # Library enumerations.
 ALL_TREES = Limit(
     13, "all_trees node count",
-    "all_trees(13) takes 3.3-3.7 s and 316 MB; n=14 would take about 1 GB",
+    "all_trees(13) takes 2.3-3.3 s and 237 MB; n=14 would take about 800 MB",
 )
 TAMARI_POSET = Limit(
     12, "tamari_poset node count",
@@ -40,7 +40,7 @@ TAMARI_POSET = Limit(
 )
 IMBALANCE_FAMILY = Limit(
     26, "imbalance_family node count",
-    "the balanced family at n=26 is 1,199,384 trees, built and sorted in 3.5 s and 560 MB",
+    "the balanced family at n=26 is 1,199,384 trees, built and sorted in 3.3-5.1 s and 349 MB",
 )
 WEIGHT_BALANCED = Limit(
     15, "weight_balanced_trees node count",

@@ -27,7 +27,6 @@ from typing import Iterable, Iterator
 from . import limits
 from .trees import (
     BinaryTree,
-    _text_sorted,
     all_trees,
     iter_subtrees,
     node,
@@ -227,15 +226,23 @@ def _interval_members(
 ) -> tuple[set[BinaryTree], list[tuple[BinaryTree, BinaryTree]]]:
     """The set of trees ``t`` with ``t0 <= t <= t1``, for ``t0 <= t1``,
     and the ``(member, cover)`` pairs among them: the interval's Hasse
-    diagram.
+    diagram.  See :func:`_members_between`.
+    """
+    return _members_between(t0, bracket_vector(t0), bracket_vector(t1))
+
+
+def _members_between(
+    t0: BinaryTree, start: tuple[int, ...], upper: tuple[int, ...]
+) -> tuple[set[BinaryTree], list[tuple[BinaryTree, BinaryTree]]]:
+    """:func:`_interval_members` from ``t0``, whose bracket vector is
+    ``start``, up to the tree whose vector is ``upper``.
 
     Every member lies on a chain of covers from ``t0`` that stays below
-    ``t1``.  A cover changes one vector entry, so the walk compares that
-    entry with ``t1``'s before it builds the cover, and keys the members
-    by vector, which determines the tree, so no member is built twice.
+    the upper end.  A cover changes one vector entry, so the walk
+    compares that entry with ``upper``'s before it builds the cover, and
+    keys the members by vector, which determines the tree, so no member
+    is built twice.
     """
-    upper = bracket_vector(t1)
-    start = bracket_vector(t0)
     members = {start: t0}
     edges = []
     stack = [(t0, start)]
@@ -362,12 +369,11 @@ def hasse_dot(
     order; each edge points from the smaller to the larger tree.
     """
     nodes = set(trees) | {a for e in edges for a in e}
-    ordered, label = _text_sorted(nodes)
-    position = {t: i for i, t in enumerate(ordered)}
+    position = {t: i for i, t in enumerate(sorted_by_text(nodes))}
     lines = [f"digraph {graph_name} {{", "  rankdir=BT;"]
     for t, i in position.items():
         style = ' style=filled fillcolor="lightblue"' if t in highlight else ""
-        lines.append(f'  n{i} [label="{label(t)}"{style}];')
+        lines.append(f'  n{i} [label="{serialize(t)}"{style}];')
     # Node numbers count up in tree-string order, so sorting the edges by
     # the numbers of their ends sorts them by the ends' tree strings.
     for a, b in sorted((position[a], position[b]) for a, b in edges):

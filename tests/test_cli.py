@@ -7,6 +7,7 @@ import pytest
 
 from tamari_balance import cli, fixtures, intervals, limits
 from tamari_balance.cli import SequenceReport, main, run_enum
+from tamari_balance.grammars import builtin_grammar, builtin_names, series
 from tamari_balance.polynomials import Polynomial
 from tamari_balance.trees import parse
 
@@ -201,7 +202,49 @@ class TestEnum:
         assert report.ok
 
 
+def _delay_buds_at_zero(name):
+    """``--set`` arguments that set every bud but the axiom to 0, under
+    the names the series shows."""
+    g = builtin_grammar(name)
+    renames = dict(g.merges)
+    shown = (renames.get(bud, bud) for bud in g.buds if bud != g.axiom)
+    return [f"{var}=0" for var in dict.fromkeys(shown)]
+
+
 class TestSeries:
+    @pytest.mark.parametrize(
+        "name, extra",
+        [(name, "") for name in builtin_names() if _delay_buds_at_zero(name)]
+        + [("mbi_xi", "xi=2"), ("bi", "x=3")],
+    )
+    def test_delay_buds_at_zero_print_the_specialized_series(
+        self, capsys, monkeypatch, name, extra
+    ):
+        g = builtin_grammar(name)
+        sets = _delay_buds_at_zero(name) + ([extra] if extra else [])
+        assignments = {k: int(v) for k, v in (item.split("=") for item in sets)}
+        want = series(g, 10).specialize(assignments)
+
+        def no_full_series(*args):
+            raise AssertionError("the full series was built")
+
+        monkeypatch.setattr(cli, "series", no_full_series)
+        argv = ("series", "--builtin", name, "--degree", "10", "--set", *sets)
+        assert run(capsys, *argv) == (0, f"{want}\n", "")
+        payload = {
+            "command": "series",
+            "grammar": name,
+            "degree": 10,
+            "assignments": assignments,
+            "polynomial": str(want),
+            "terms": [
+                {"coefficient": coeff, "monomial": dict(mono.pairs)}
+                for mono, coeff in want.sorted_terms()
+            ],
+        }
+        want_json = json.dumps(payload, indent=2) + "\n"
+        assert run(capsys, *argv, "--json") == (0, want_json, "")
+
     def test_perfect_series(self, capsys):
         code, out, err = run(capsys, "series", "--builtin", "perf", "--degree", "8")
         assert code == 0
@@ -391,14 +434,14 @@ class TestCheck:
         assert sum(dims.values()) == 52
 
     def test_non_cube_is_a_fail(self, capsys, monkeypatch):
-        real = intervals.verify_hypercube
+        real = intervals._verify_cube
         bad = (parse("((..)((..).))"), parse("((..)(.(..)))"))
 
-        def claims_a_square(lower, upper):
-            k, ok = real(lower, upper)
+        def claims_a_square(lower, upper, *vectors):
+            k, ok = real(lower, upper, *vectors)
             return (2, False) if (lower, upper) == bad else (k, ok)
 
-        monkeypatch.setattr(intervals, "verify_hypercube", claims_a_square)
+        monkeypatch.setattr(intervals, "_verify_cube", claims_a_square)
         argv = ("check", "hypercube", "--max-n", "5")
         error = "[((..)((..).)), ((..)(.(..)))] is not a hypercube: 4 vs 2"
         code, out, err = run(capsys, *argv)

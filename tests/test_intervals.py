@@ -32,6 +32,7 @@ from tamari_balance.intervals import (
 from tamari_balance.polynomials import Monomial, Polynomial
 from tamari_balance.tamari import (
     IncomparableError,
+    bracket_vector,
     comparable_pairs,
     covers,
     interval,
@@ -123,18 +124,19 @@ class TestVerifyHypercube:
             assert verify_hypercube(lower, upper) == verify_by_subsets(lower, upper)
 
     def test_a_dropped_root_is_not_a_cube(self, monkeypatch):
-        real = intervals.rotation_root_set
+        real = intervals._root_set
         dropped = []
 
-        def one_short(t0, t1):
-            roots = real(t0, t1)
+        def one_short(t0, t1, lower, upper):
+            roots = real(t0, t1, lower, upper)
             return RotationRootSet(t0, roots.ranks - {dropped[-1]})
 
-        monkeypatch.setattr(intervals, "rotation_root_set", one_short)
+        monkeypatch.setattr(intervals, "_root_set", one_short)
         trees = balanced_trees(8)
         checked = 0
         for lower, upper in comparable_pairs(trees, trees):
-            ranks = real(lower, upper).ranks
+            vectors = bracket_vector(lower), bracket_vector(upper)
+            ranks = real(lower, upper, *vectors).ranks
             for rank in ranks:
                 dropped.append(rank)
                 assert verify_hypercube(lower, upper) == (len(ranks) - 1, False)
@@ -213,11 +215,11 @@ class TestIntervalCounts:
                 "    x5 = poly.coefficient({'x': 5}) * Polynomial.variable('x') ** 5",
                 "    return poly - x5",
                 "intervals.counting_series = wrong_at_four",
-                "real_verify = intervals.verify_hypercube",
-                "def one_too_many(lower, upper):",
-                "    k, _ = real_verify(lower, upper)",
+                "real_verify = intervals._verify_cube",
+                "def one_too_many(lower, upper, *vectors):",
+                "    k, _ = real_verify(lower, upper, *vectors)",
                 "    return k + 1, False",
-                "intervals.verify_hypercube = one_too_many",
+                "intervals._verify_cube = one_too_many",
                 "balance._ROTATION_TABLE[(0, 0)] = (",
                 "    balance.RotationKind.SIMPLY_UNBALANCING, (9, 9)",
                 ")",
@@ -252,11 +254,11 @@ class TestIntervalCounts:
         script = "\n".join(
             [
                 "from tamari_balance import intervals",
-                "real_verify = intervals.verify_hypercube",
-                "def one_too_many(lower, upper):",
-                "    k, _ = real_verify(lower, upper)",
+                "real_verify = intervals._verify_cube",
+                "def one_too_many(lower, upper, *vectors):",
+                "    k, _ = real_verify(lower, upper, *vectors)",
                 "    return k + 1, True",
-                "intervals.verify_hypercube = one_too_many",
+                "intervals._verify_cube = one_too_many",
                 "try:",
                 "    intervals.hypercube_histogram(4)",
                 "except intervals.CrossCheckError as exc:",

@@ -1,11 +1,16 @@
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import small_trees, tiny_trees
+from tamari_balance.balance import balanced_trees
+from tamari_balance.families import weight_balanced_trees
+from tamari_balance.tamari import left_rotation, right_rotation, rotation_ranks
 from tamari_balance.trees import (
     LEAF,
     TreeParseError,
@@ -26,6 +31,7 @@ from tamari_balance.trees import (
 )
 
 WIDE_EXAMPLE = "((.((..).))(((..).)(..)))"
+
 CANOPY_EXAMPLE = "(((..)((..).))((..)(..)))"
 
 
@@ -249,3 +255,57 @@ def test_sorted_by_text_on_a_deep_comb():
         comb = node(LEAF, comb)
     trees = [comb, comb.right.right, node(comb, LEAF), LEAF, comb]
     assert sorted_by_text(trees) == sorted(trees, key=serialize)
+
+
+def test_sorted_by_text_on_mixed_sizes_and_repeats():
+    left_comb = right_comb = LEAF
+    for _ in range(5000):
+        left_comb = node(left_comb, LEAF)
+        right_comb = node(LEAF, right_comb)
+    pooled = [t for n in range(13) for t in balanced_trees(n)]
+    pooled += [t for n in range(16) for t in weight_balanced_trees(n)]
+    pooled += [left_comb, right_comb, left_comb.left, right_comb.right.right]
+    pooled += [t for n in range(5) for t in all_trees(n)]
+    pooled += pooled[::7]
+    random.Random(18).shuffle(pooled)
+    assert sorted_by_text(pooled) == sorted(pooled, key=serialize)
+
+
+def test_hash_is_structural():
+    assert hash(LEAF) == hash(("tree", 0))
+    for t in (t for n in range(1, 7) for t in all_trees(n)):
+        assert hash(t) == hash((hash(t.left), t.node_count, hash(t.right)))
+
+
+def test_intern_table_holds_one_entry_per_shape():
+    script = "\n".join(
+        [
+            "from tamari_balance import trees",
+            "trees.all_trees(8)",
+            "print(len(trees._INTERN))",
+        ]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    # C1 + ... + C8: every nonempty tree of at most 8 nodes, once.
+    assert int(result.stdout) == 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430
+
+
+def test_constructors_return_the_interned_object():
+    def mirrored_text(t):
+        if t.left is None:
+            return "."
+        return "(" + mirrored_text(t.right) + mirrored_text(t.left) + ")"
+
+    for t in (t for n in range(1, 7) for t in all_trees(n)):
+        assert parse(serialize(t)) is t
+        assert node(t.left, t.right) is t
+        assert mirror(mirror(t)) is t
+        assert mirror(t) is parse(mirrored_text(t))
+        for rank in rotation_ranks(t):
+            rotated = right_rotation(t, rank)
+            assert right_rotation(t, rank) is rotated
+            assert parse(serialize(rotated)) is rotated
+            assert left_rotation(rotated, rank) is t
