@@ -46,11 +46,11 @@ from .families import (
 )
 from .grammars import (
     GrammarError,
+    _specialized_series,
     builtin_grammar,
     builtin_names,
     counting_series,
     parse_grammar,
-    series,
 )
 from .intervals import (
     CrossCheckError,
@@ -342,21 +342,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             )
     if args.degree < 0:
         raise UsageError(f"--degree must be nonnegative, got {args.degree}")
-    # Every bud but the axiom set to 0 is the counting series, which
-    # never builds the other buds' terms; the rest is specialized.
-    others = {renames.get(bud, bud) for bud in grammar.buds if bud != grammar.axiom}
-    if (
-        others
-        and grammar.axiom not in renames
-        and all(assignments.get(name) == 0 for name in others)
-    ):
-        poly = counting_series(grammar, args.degree)
-        rest = {k: v for k, v in assignments.items() if k not in others}
-    else:
-        poly = series(grammar, args.degree)
-        rest = assignments
-    if rest:
-        poly = poly.specialize(rest)
+    poly = _specialized_series(grammar, args.degree, assignments)
     if args.json:
         print(
             json.dumps(

@@ -458,6 +458,22 @@ def series(g: SynchronousGrammar, max_degree: int) -> Polynomial:
     return _to_polynomial(g, _summed_iterates(g, max_degree, g.buds).items())
 
 
+def _specialized_series(
+    g: SynchronousGrammar, max_degree: int, assignments: dict[str, int]
+) -> Polynomial:
+    """``series(g, max_degree).specialize(assignments)``, whose keys name
+    the series' variables: buds under their merged names, and markers.
+
+    A bud whose name is set to 0 is started at 0, which is that
+    specialization of every iterate, so its terms are never built; the
+    specialization then applies every assignment, markers included.
+    """
+    renames = dict(g.merges)
+    start = [b for b in g.buds if assignments.get(renames.get(b, b)) != 0]
+    poly = _to_polynomial(g, _summed_iterates(g, max_degree, start).items())
+    return poly.specialize(assignments) if assignments else poly
+
+
 def counting_series(g: SynchronousGrammar, max_degree: int) -> Polynomial:
     """The series with every bud but the axiom set to 0, markers kept.
 

@@ -26,6 +26,7 @@ from typing import Iterable, Iterator
 
 from . import limits
 from .trees import (
+    LEAF,
     BinaryTree,
     all_trees,
     iter_subtrees,
@@ -369,11 +370,29 @@ def hasse_dot(
     order; each edge points from the smaller to the larger tree.
     """
     nodes = set(trees) | {a for e in edges for a in e}
-    position = {t: i for i, t in enumerate(sorted_by_text(nodes))}
+    # Each distinct subtree's string is joined once from its children's,
+    # in a memo keyed by identity; the nodes keep the subtrees alive.
+    text = {id(LEAF): "."}
+    for t in nodes:
+        stack = [t]
+        while stack:
+            cur = stack.pop()
+            key = id(cur)
+            if key in text:
+                continue
+            left = text.get(id(cur.left))
+            right = text.get(id(cur.right))
+            if left is None or right is None:
+                stack += (cur, cur.right, cur.left)
+                continue
+            text[key] = "(" + left + right + ")"
+    labels = {t: text[id(t)] for t in nodes}
+    ordered = sorted(nodes, key=labels.__getitem__)
+    position = {t: i for i, t in enumerate(ordered)}
     lines = [f"digraph {graph_name} {{", "  rankdir=BT;"]
     for t, i in position.items():
         style = ' style=filled fillcolor="lightblue"' if t in highlight else ""
-        lines.append(f'  n{i} [label="{serialize(t)}"{style}];')
+        lines.append(f'  n{i} [label="{labels[t]}"{style}];')
     # Node numbers count up in tree-string order, so sorting the edges by
     # the numbers of their ends sorts them by the ends' tree strings.
     for a, b in sorted((position[a], position[b]) for a, b in edges):

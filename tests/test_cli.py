@@ -5,9 +5,14 @@ import json
 
 import pytest
 
-from tamari_balance import cli, fixtures, intervals, limits
+from tamari_balance import cli, fixtures, grammars, intervals, limits
 from tamari_balance.cli import SequenceReport, main, run_enum
-from tamari_balance.grammars import builtin_grammar, builtin_names, series
+from tamari_balance.grammars import (
+    builtin_grammar,
+    builtin_names,
+    parse_grammar,
+    series,
+)
 from tamari_balance.polynomials import Polynomial
 from tamari_balance.trees import parse
 
@@ -211,6 +216,22 @@ def _delay_buds_at_zero(name):
     return [f"{var}=0" for var in dict.fromkeys(shown)]
 
 
+def _series_output(poly, source, assignments):
+    """The text and ``--json`` stdout of ``series`` printing ``poly``."""
+    payload = {
+        "command": "series",
+        "grammar": source,
+        "degree": 10,
+        "assignments": assignments,
+        "polynomial": str(poly),
+        "terms": [
+            {"coefficient": coeff, "monomial": dict(mono.pairs)}
+            for mono, coeff in poly.sorted_terms()
+        ],
+    }
+    return f"{poly}\n", json.dumps(payload, indent=2) + "\n"
+
+
 class TestSeries:
     @pytest.mark.parametrize(
         "name, extra",
@@ -223,27 +244,36 @@ class TestSeries:
         g = builtin_grammar(name)
         sets = _delay_buds_at_zero(name) + ([extra] if extra else [])
         assignments = {k: int(v) for k, v in (item.split("=") for item in sets)}
-        want = series(g, 10).specialize(assignments)
+        text, as_json = _series_output(
+            series(g, 10).specialize(assignments), name, assignments
+        )
+        starts = []
+        engine = grammars._summed_iterates
 
-        def no_full_series(*args):
-            raise AssertionError("the full series was built")
+        def recorded(g, max_degree, start):
+            starts.append(tuple(start))
+            return engine(g, max_degree, start)
 
-        monkeypatch.setattr(cli, "series", no_full_series)
+        monkeypatch.setattr(grammars, "_summed_iterates", recorded)
         argv = ("series", "--builtin", name, "--degree", "10", "--set", *sets)
-        assert run(capsys, *argv) == (0, f"{want}\n", "")
-        payload = {
-            "command": "series",
-            "grammar": name,
-            "degree": 10,
-            "assignments": assignments,
-            "polynomial": str(want),
-            "terms": [
-                {"coefficient": coeff, "monomial": dict(mono.pairs)}
-                for mono, coeff in want.sorted_terms()
-            ],
-        }
-        want_json = json.dumps(payload, indent=2) + "\n"
-        assert run(capsys, *argv, "--json") == (0, want_json, "")
+        assert run(capsys, *argv) == (0, text, "")
+        assert run(capsys, *argv, "--json") == (0, as_json, "")
+        started = (g.axiom,) if "x=0" not in sets else ()
+        assert starts == [started, started]
+
+    @pytest.mark.parametrize("sets", [["m=0"], ["x=2", "m=0"], ["m=2"], ["x=0"]])
+    def test_bud_merged_onto_a_marker(self, capsys, tmp_path, sets):
+        path = tmp_path / "merged.grammar"
+        path.write_text(
+            "buds: x y\naxiom: x\nmarkers: m\nmerge: y m\n"
+            "x -> [<x> <x>] @m | [<x> <y>]\ny -> [<x> <x>] | [<y> <x>] @m\n"
+        )
+        assignments = {k: int(v) for k, v in (item.split("=") for item in sets)}
+        poly = series(parse_grammar(path.read_text()), 10).specialize(assignments)
+        text, as_json = _series_output(poly, str(path), assignments)
+        argv = ("series", "--file", str(path), "--degree", "10", "--set", *sets)
+        assert run(capsys, *argv) == (0, text, "")
+        assert run(capsys, *argv, "--json") == (0, as_json, "")
 
     def test_perfect_series(self, capsys):
         code, out, err = run(capsys, "series", "--builtin", "perf", "--degree", "8")

@@ -12,6 +12,7 @@ from tamari_balance.grammars import (
     GrammarError,
     Rule,
     SynchronousGrammar,
+    _specialized_series,
     builtin_grammar,
     builtin_names,
     check_strict,
@@ -365,7 +366,8 @@ class TestIterates:
         # Every epl rule keeps at least one bud, so frontiers never
         # shrink and pruning a derivation above the cut loses no term
         # below it.  Steps 0..3 stay whole (degree at most 17); step 4
-        # keeps its 5,486 trees of degree at most 24, of 42,840.
+        # keeps its 5,486 trees of degree at most 24, of 42,840, and
+        # test_step_4_matches_the_reference checks the rest of it.
         g = builtin_grammar("epl")
         cut = 24
         its = iterates(g, 4)
@@ -378,6 +380,10 @@ class TestIterates:
                 mono = evaluation(tree)
                 counts[mono] = counts.get(mono, 0) + 1
             assert its[steps].truncate(cut) == Polynomial(counts)
+
+    def test_step_4_matches_the_reference(self):
+        g = builtin_grammar("epl")
+        assert _same(iterates(g, 4)[4], _reference_iterates(g, 4)[4])
 
 
 def _graft(tree, subtrees):
@@ -680,6 +686,29 @@ class TestCountingSeries:
     def test_degree_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             counting_series(builtin_grammar("bal"), -1)
+
+
+@st.composite
+def _assignments(draw, g):
+    """Values for some of the series' variables: buds under their merged
+    names, and markers; mostly 0."""
+    renames = dict(g.merges)
+    names = sorted({renames.get(b, b) for b in g.buds} | set(g.markers))
+    chosen = draw(st.lists(st.sampled_from(names), unique=True))
+    return {name: draw(st.sampled_from([0, 0, 1, 2])) for name in chosen}
+
+
+class TestSpecializedSeries:
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(st.data(), strict_grammars(), st.integers(0, 8))
+    def test_generated_grammars(self, data, g, degree):
+        values = data.draw(_assignments(g))
+        want = series(g, degree).specialize(values)
+        assert _same(_specialized_series(g, degree, values), want)
 
 
 class TestImbalanceGrammar:
