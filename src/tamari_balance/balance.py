@@ -24,9 +24,16 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import limits
-from .families import ImbalanceSet, _family_level, imbalance_family
+from .families import ImbalanceSet, _family, imbalance_family
 from .tamari import RotationError
-from .trees import BinaryTree, iter_subtrees, serialize, sorted_by_text, subtree_at
+from .trees import (
+    LEAF,
+    BinaryTree,
+    iter_subtrees,
+    node,
+    sorted_by_text,
+    subtree_at,
+)
 
 
 def is_balanced(t: BinaryTree) -> bool:
@@ -55,16 +62,33 @@ def balanced_trees(n: int) -> tuple[BinaryTree, ...]:
 def balanced_trees_of_height(h: int) -> tuple[BinaryTree, ...]:
     """All balanced trees of height exactly ``h``, sorted by tree string.
 
-    They are the ``{-1, 0, 1}`` family levels at height ``h`` over the
-    sizes ``h .. 2**h - 1``.  The counts grow doubly exponentially
-    (1, 1, 3, 15, 315, 108675, ...), so ``h`` is capped by
-    :data:`limits.HEIGHT`.
+    Each is a node over two balanced trees of heights ``h - 2`` or
+    ``h - 1``, at least one of them ``h - 1``, and those have fewer than
+    ``2**(h - 1)`` nodes.  They are taken from the ``{-1, 0, 1}`` family,
+    sorted once, and paired in that order, which is tree-string order for
+    the pairs.  The counts grow doubly exponentially (1, 1, 3, 15, 315,
+    108675, ...), so ``h`` is capped by :data:`limits.HEIGHT`.
     """
     if h < 0:
         raise ValueError("height must be nonnegative")
     limits.HEIGHT.check(h)
-    levels = (_family_level(n, h, _BALANCED) for n in range(h, 2**h))
-    return tuple(sorted_by_text(t for level in levels for t in level))
+    if h == 0:
+        return (LEAF,)
+    # The height window is exact: smaller heights cannot reach h, and
+    # trees of height h and up also occur below 2**(h - 1) nodes.  Those
+    # sizes stay under the family's cap, so its cache is read directly.
+    below = sorted_by_text(
+        t
+        for a in range(2 ** (h - 1))
+        for t in _family(a, _BALANCED)
+        if h - 2 <= t.height <= h - 1
+    )
+    return tuple(
+        node(left, right)
+        for left in below
+        for right in below
+        if h - 1 in (left.height, right.height)
+    )
 
 
 class RotationKind(enum.Enum):

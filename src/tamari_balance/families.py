@@ -11,9 +11,13 @@ bracket vectors: it builds only the covers that leave the family and asks
 :func:`~tamari_balance.tamari.comparable_pairs` which members lie above
 them.
 
-This is the one generator of imbalance families: the (size, height)
-levels built here give every such family, the balanced trees of
-:mod:`~tamari_balance.balance` (by size and by height) included.
+This is the one generator of imbalance families, the balanced trees of
+:mod:`~tamari_balance.balance` (by size and by height) included.  It
+builds each size once, from the smaller sizes, already sorted by tree
+string: it pairs left subtrees in tree-string order with right subtrees
+in the order of their own cached size, so the only sort is
+:func:`~tamari_balance.trees.sorted_by_text` over the distinct left
+subtrees, still the library's one tree-string sort.
 """
 
 from __future__ import annotations
@@ -140,44 +144,70 @@ def imbalances_within(t: BinaryTree, allowed: ImbalanceSet) -> bool:
 
 
 def imbalance_family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
-    """All trees with ``n`` nodes whose imbalances stay in ``allowed``.
+    """All trees with ``n`` nodes whose imbalances stay in ``allowed``,
+    sorted by tree string.
 
-    Built bottom-up over (node count, height) pairs, so the cost scales
-    with the family rather than with the Catalan numbers; sorted by tree
-    string.
+    Built bottom-up by size, so the cost scales with the family rather
+    than with the Catalan numbers, and built in tree-string order, so no
+    level is sorted after it is built.  The tuple is cached and shared
+    between calls.
     """
     if n < 0:
         raise ValueError("node count must be nonnegative")
     limits.IMBALANCE_FAMILY.check(n)
-    return tuple(
-        sorted_by_text(t for h in range(n + 1) for t in _family_level(n, h, allowed))
-    )
+    return _family(n, allowed)
 
 
 @lru_cache(maxsize=None)
-def _family_level(
-    n: int, h: int, allowed: ImbalanceSet
-) -> tuple[BinaryTree, ...]:
+def _family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
+    """The family's members of size ``n``, built in tree-string order.
+
+    Tree strings are prefix-free, so ``"(" + L + R + ")"`` strings compare
+    by ``L`` first, then by ``R``.  The members are ``node(L, R)`` for the
+    left subtrees ``L`` in tree-string order, each followed by its
+    partners ``R`` in the order of the smaller family: only the distinct
+    left subtrees that have a partner are sorted.
+    """
     if n == 0:
-        return (LEAF,) if h == 0 else ()
-    if h < 1 or h > n or n > 2**h - 1:
-        return ()
-    out = []
+        return (LEAF,)
+    # Every height difference two subtrees of an n-node tree can have.
+    fits = {d for d in range(-n, n + 1) if d in allowed}
+    # heights[m] holds the heights of the members with m nodes: a member
+    # is a node over two members whose heights differ by an allowed value.
+    heights = [{0}]
+    for m in range(1, n):
+        heights.append({
+            1 + max(h_left, h_right)
+            for n_left in range(m)
+            for h_left in heights[n_left]
+            for h_right in heights[m - 1 - n_left]
+            if h_right - h_left in fits
+        })
+    # The right subtrees that pair with each (left size, left height),
+    # in tree-string order; filtered only when some heights do not pair.
+    # Sizes that pair with nothing are never built.
+    partners: dict[tuple[int, int], tuple[BinaryTree, ...]] = {}
     for n_left in range(n):
-        n_right = n - 1 - n_left
-        for h_left in range(min(n_left, h - 1) + 1):
-            if h_left == h - 1:
-                h_rights: tuple[int, ...] = tuple(range(min(n_right, h - 1) + 1))
-            elif h - 1 <= n_right:
-                h_rights = (h - 1,)
+        reached = heights[n - 1 - n_left]
+        for h_left in heights[n_left]:
+            pair = {h for h in reached if h - h_left in fits}
+            if not pair:
+                continue
+            rights = _family(n - 1 - n_left, allowed)
+            if pair == reached:
+                partners[n_left, h_left] = rights
             else:
-                h_rights = ()
-            for h_right in h_rights:
-                if h_right - h_left not in allowed:
-                    continue
-                for left in _family_level(n_left, h_left, allowed):
-                    for right in _family_level(n_right, h_right, allowed):
-                        out.append(node(left, right))
+                partners[n_left, h_left] = tuple(t for t in rights if t.height in pair)
+    left_sizes = {n_left for n_left, _ in partners}
+    lefts = sorted_by_text(
+        t
+        for n_left in left_sizes
+        for t in _family(n_left, allowed)
+        if (n_left, t.height) in partners
+    )
+    out: list[BinaryTree] = []
+    for left in lefts:
+        out += [node(left, right) for right in partners[left.node_count, left.height]]
     return tuple(out)
 
 

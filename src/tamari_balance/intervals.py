@@ -178,7 +178,7 @@ def _verify_cube(
             raise AssertionError("root rotations failed to commute")
     if len(set(images)) != 1 << k:
         return k, False
-    if set(images) != _members_between(t0, lower, upper)[0]:
+    if set(images) != set(_members_between(t0, lower, upper).values()):
         return k, False
     vectors = [bracket_vector(image) for image in images]
     # Each root raises one entry, from the lower endpoint's to the upper's.
@@ -229,7 +229,7 @@ def _dimension_histogram(
             raise CrossCheckError(
                 f"[{serialize(lower)}, {serialize(upper)}] is not a hypercube",
                 ("subset images", "cover walk"),
-                (1 << k, len(_members_between(lower, low, high)[0])),
+                (1 << k, len(_members_between(lower, low, high))),
             )
         differing = len(_differing_entries(low, high))
         if k != differing:

@@ -219,7 +219,8 @@ def interval(t0: BinaryTree, t1: BinaryTree) -> tuple[BinaryTree, ...]:
     """
     if not tamari_leq(t0, t1):
         raise IncomparableError(f"{serialize(t0)} is not below {serialize(t1)}")
-    return tuple(sorted_by_text(_interval_members(t0, t1)[0]))
+    members = _members_between(t0, bracket_vector(t0), bracket_vector(t1))
+    return tuple(sorted_by_text(members.values()))
 
 
 def _interval_members(
@@ -227,16 +228,22 @@ def _interval_members(
 ) -> tuple[set[BinaryTree], list[tuple[BinaryTree, BinaryTree]]]:
     """The set of trees ``t`` with ``t0 <= t <= t1``, for ``t0 <= t1``,
     and the ``(member, cover)`` pairs among them: the interval's Hasse
-    diagram.  See :func:`_members_between`.
+    diagram, which only ``hasse`` draws.  See :func:`_members_between`.
     """
-    return _members_between(t0, bracket_vector(t0), bracket_vector(t1))
+    edges: list[tuple[BinaryTree, BinaryTree]] = []
+    members = _members_between(t0, bracket_vector(t0), bracket_vector(t1), edges)
+    return set(members.values()), edges
 
 
 def _members_between(
-    t0: BinaryTree, start: tuple[int, ...], upper: tuple[int, ...]
-) -> tuple[set[BinaryTree], list[tuple[BinaryTree, BinaryTree]]]:
-    """:func:`_interval_members` from ``t0``, whose bracket vector is
-    ``start``, up to the tree whose vector is ``upper``.
+    t0: BinaryTree,
+    start: tuple[int, ...],
+    upper: tuple[int, ...],
+    edges: list[tuple[BinaryTree, BinaryTree]] | None = None,
+) -> dict[tuple[int, ...], BinaryTree]:
+    """The trees from ``t0``, whose bracket vector is ``start``, up to the
+    tree whose vector is ``upper``, keyed by bracket vector.  Given a list
+    as ``edges``, the walk also appends each ``(member, cover)`` pair to it.
 
     Every member lies on a chain of covers from ``t0`` that stays below
     the upper end.  A cover changes one vector entry, so the walk
@@ -245,7 +252,6 @@ def _members_between(
     is built twice.
     """
     members = {start: t0}
-    edges = []
     stack = [(t0, start)]
     while stack:
         t, vector = stack.pop()
@@ -258,8 +264,9 @@ def _members_between(
                 nxt = right_rotation(t, rank)
                 members[raised] = nxt
                 stack.append((nxt, raised))
-            edges.append((t, nxt))
-    return set(members.values()), edges
+            if edges is not None:
+                edges.append((t, nxt))
+    return members
 
 
 class TamariPoset:

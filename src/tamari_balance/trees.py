@@ -15,14 +15,20 @@ Trees are hash-consed: every constructor in this module routes through
 equality is identity; the hash stays structural, so set orders do not
 depend on addresses.  Instances are immutable and safe to share.
 
-Every list of trees the library returns "sorted by tree string" is sorted
-by :func:`sorted_by_text`: the order of ``sorted(trees, key=serialize)``,
-reached without building a string.  The preorder code of a tree writes
-``0`` for each node and ``1`` for each leaf; like tree strings, these
-codes are prefix-free and put a node before a leaf (``(`` sorts before
-``.``), so both give the same order.  Each distinct subtree's code is
-computed once per call as an integer, from its children's codes, with no
-recursion by height.
+:func:`sorted_by_text` is the library's one tree-string sort: the order
+of ``sorted(trees, key=serialize)``, reached without building a string.
+Every list of trees the library returns "sorted by tree string" comes
+from it, directly or by construction: the imbalance families of
+:mod:`~tamari_balance.families` and the balanced trees of one height are
+built in that order from subtrees it sorted, since tree strings are
+prefix-free and so ``node(L, R)`` strings compare by ``L`` first, then
+by ``R``.
+
+The preorder code of a tree writes ``0`` for each node and ``1`` for
+each leaf; like tree strings, these codes are prefix-free and put a node
+before a leaf (``(`` sorts before ``.``), so both give the same order.
+Each distinct subtree's code is computed once per call as an integer,
+from its children's codes, with no recursion by height.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from tamari_balance.trees import (
     child_ranks,
     imbalance,
     parse,
+    serialize,
 )
 
 NARROW_EXAMPLE = "(((.((..).))(.(..)))(..))"
@@ -52,6 +53,14 @@ def test_balanced_counts_match_reference():
     assert [len(balanced_trees(n)) for n in range(20)] == BALANCED_COUNTS
 
 
+@pytest.mark.parametrize("n", [20, 21, 22])
+def test_large_balanced_families_are_sorted_without_repeats(n):
+    trees = balanced_trees(n)
+    assert trees == tuple(sorted(trees, key=serialize))
+    assert len(set(trees)) == len(trees)
+    assert all(t.node_count == n and is_balanced(t) for t in trees)
+
+
 def test_balanced_counts_by_height():
     counts = [1, 1]
     while len(counts) < 6:
@@ -61,6 +70,7 @@ def test_balanced_counts_by_height():
         trees = balanced_trees_of_height(h)
         assert len(trees) == len(set(trees)) == expected
         assert all(t.height == h and is_balanced(t) for t in trees)
+        assert trees == tuple(sorted(trees, key=serialize))
 
 
 def test_classification_against_measured_imbalances():

@@ -130,7 +130,8 @@ class TestImbalanceSet:
 
 class TestImbalanceFamilies:
     @pytest.mark.parametrize(
-        "text", ["-1..1", "0..1", "-2..0", "..", "0..0", "-2..2"]
+        "text",
+        ["-1..1", "0..1", "-2..0", "..", "0..0", "-2..2", "-3,0,3", "0,2", "0,1,3"],
     )
     def test_family_matches_brute_filter(self, text):
         v = ImbalanceSet.parse(text)
