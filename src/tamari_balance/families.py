@@ -170,7 +170,8 @@ def _family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
     """
     if n == 0:
         return (LEAF,)
-    # Every height difference two subtrees of an n-node tree can have.
+    # The allowed values among the height differences two subtrees of an
+    # n-node tree can have.
     fits = {d for d in range(-n, n + 1) if d in allowed}
     # heights[m] holds the heights of the members with m nodes: a member
     # is a node over two members whose heights differ by an allowed value.

@@ -41,7 +41,7 @@ TAMARI_POSET = Limit(
 IMBALANCE_FAMILY = Limit(
     26, "imbalance_family node count",
     "the balanced family at n=26 is 1,199,384 trees, built in tree-string order "
-    "in 2.4-3.3 s and 277 MB",
+    "in 2.2-3.3 s and 277 MB",
 )
 WEIGHT_BALANCED = Limit(
     15, "weight_balanced_trees node count",
