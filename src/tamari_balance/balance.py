@@ -30,7 +30,7 @@ from .trees import (
     LEAF,
     BinaryTree,
     iter_subtrees,
-    node,
+    nodes_over,
     sorted_by_text,
     subtree_at,
 )
@@ -83,12 +83,11 @@ def balanced_trees_of_height(h: int) -> tuple[BinaryTree, ...]:
         for t in _family(a, _BALANCED)
         if h - 2 <= t.height <= h - 1
     )
-    return tuple(
-        node(left, right)
-        for left in below
-        for right in below
-        if h - 1 in (left.height, right.height)
-    )
+    tall = [t for t in below if t.height == h - 1]
+    out: list[BinaryTree] = []
+    for left in below:
+        out += nodes_over(left, below if left.height == h - 1 else tall)
+    return tuple(out)
 
 
 class RotationKind(enum.Enum):

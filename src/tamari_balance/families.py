@@ -36,7 +36,7 @@ from .trees import (
     canopy,
     iter_subtrees,
     nar,
-    node,
+    nodes_over,
     parse,
     sorted_by_text,
     subtree_at,
@@ -208,7 +208,7 @@ def _family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
     )
     out: list[BinaryTree] = []
     for left in lefts:
-        out += [node(left, right) for right in partners[left.node_count, left.height]]
+        out += nodes_over(left, partners[left.node_count, left.height])
     return tuple(out)
 
 
@@ -354,14 +354,12 @@ def weight_balanced_trees(n: int) -> tuple[BinaryTree, ...]:
         if rest % 2 == 0
         else [(rest // 2, rest // 2 + 1), (rest // 2 + 1, rest // 2)]
     )
-    return tuple(
-        sorted_by_text(
-            node(left, right)
-            for n_left, n_right in splits
-            for left in weight_balanced_trees(n_left)
-            for right in weight_balanced_trees(n_right)
-        )
-    )
+    built: list[BinaryTree] = []
+    for n_left, n_right in splits:
+        rights = weight_balanced_trees(n_right)
+        for left in weight_balanced_trees(n_left):
+            built += nodes_over(left, rights)
+    return tuple(sorted_by_text(built))
 
 
 @lru_cache(maxsize=None)

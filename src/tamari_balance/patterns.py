@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from . import limits
 from .balance import balanced_trees_of_height, is_balanced
-from .trees import LEAF, BinaryTree, iter_subtrees, node
+from .trees import LEAF, BinaryTree, iter_subtrees, node, nodes_over
 
 
 @dataclass(frozen=True)
@@ -209,11 +209,11 @@ def interior_trees(h: int) -> tuple[BinaryTree, ...]:
             for t in balanced_trees_of_height(h)
             if BalanceFlag.RIGHT_INTERIOR in classify_balanced(t)
         )
-    return tuple(
-        node(left, right)
-        for left in interior_trees(h - 1)
-        for right in interior_trees(h - 2)
-    )
+    rights = interior_trees(h - 2)
+    out: list[BinaryTree] = []
+    for left in interior_trees(h - 1):
+        out += nodes_over(left, rights)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

