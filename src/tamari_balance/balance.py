@@ -20,10 +20,10 @@ imbalance at a witness node survives every later rotation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from . import limits
+from ._record import frozen
 from .families import ImbalanceSet, _family, imbalance_family
 from .tamari import RotationError
 from .trees import (
@@ -112,7 +112,7 @@ _ROTATION_TABLE: dict[tuple[int, int], tuple[RotationKind, tuple[int, int]]] = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class RotationClassification:
     """Imbalance bookkeeping for one right rotation.
 

@@ -31,10 +31,10 @@ import json
 import locale  # noqa: F401  argparse's gettext needs it; load it here, not in main
 import re
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from . import fixtures, limits
+from ._record import frozen
 from .balance import balanced_trees
 from .families import (
     ClosureCounterexample,
@@ -73,7 +73,7 @@ class UsageError(ValueError):
 # Sequence regression
 
 
-@dataclass(frozen=True)
+@frozen
 class SequenceReport:
     """Computed-versus-reference table for one counting sequence."""
 
@@ -122,7 +122,7 @@ class SequenceReport:
         }
 
 
-@dataclass(frozen=True)
+@frozen
 class _SeriesCounts:
     """A family's counts read off a grammar's counting series.
 
@@ -175,7 +175,7 @@ def _weight_balanced_counts(max_n: int) -> tuple[int, ...]:
     return tuple(weight_balanced_count(n) for n in range(max_n + 1))
 
 
-@dataclass(frozen=True)
+@frozen
 class _Family:
     label: str
     expected: tuple[int, ...]

@@ -23,11 +23,11 @@ subtrees, still the library's one tree-string sort.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 from . import limits
+from ._record import frozen
 from .tamari import _vector_moves, bracket_vector, comparable_pairs, phi, right_rotation
 from .trees import (
     LEAF,
@@ -45,7 +45,7 @@ from .trees import (
 _INTERVAL_RE = re.compile(r"^(-?\d+)?\.\.(-?\d+)?$")
 
 
-@dataclass(frozen=True)
+@frozen
 class ImbalanceSet:
     """Allowed imbalance values: an explicit finite set or an interval.
 
@@ -212,7 +212,7 @@ def _family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen
 class ClosureCounterexample:
     """Cover chain between two family members through a non-member.
 
@@ -280,7 +280,7 @@ def closure_check(
     return None
 
 
-@dataclass(frozen=True)
+@frozen
 class ClosureVerdict:
     """Whether an imbalance interval yields an interval-closed family.
 
@@ -391,7 +391,7 @@ def weight_rank(t: BinaryTree) -> int:
     return sum(1 for _, sub in iter_subtrees(t) if sub == _RANK_SHAPE)
 
 
-@dataclass(frozen=True)
+@frozen
 class CanopyClass:
     """All trees sharing one orientation word, with the class extremes."""
 

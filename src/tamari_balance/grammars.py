@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import product
-from operator import add
-from typing import Iterable, Iterator, Union
+from operator import add, attrgetter
 
+from ._record import frozen, replace
 from .polynomials import Monomial, Polynomial
 
 
@@ -53,7 +53,7 @@ class GenerationLimitError(RuntimeError):
     """Generation exceeded the configured result budget."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Bud:
     """A frontier leaf awaiting substitution."""
 
@@ -63,7 +63,7 @@ class Bud:
         return f"<{self.name}>"
 
 
-@dataclass(frozen=True)
+@frozen
 class BudNode:
     """A node with an optional integer label and a mark flag.
 
@@ -83,7 +83,7 @@ class BudNode:
         return "[" + " ".join(parts) + "]"
 
 
-BudTree = Union[Bud, BudNode]
+BudTree = Bud | BudNode
 
 
 def frontier(tree: BudTree) -> tuple[str, ...]:
@@ -111,7 +111,7 @@ def marked_count(tree: BudTree) -> int:
     return int(tree.marked) + sum(marked_count(c) for c in tree.children)
 
 
-@dataclass(frozen=True)
+@frozen
 class Rule:
     """One substitution alternative for a bud."""
 
@@ -120,12 +120,16 @@ class Rule:
     marker: str | None = None
 
 
-@dataclass(frozen=True)
+_compared = attrgetter("buds", "axiom", "rules", "markers", "merges")
+
+
+@frozen
 class SynchronousGrammar:
     """Bud alphabet, axiom, rules, markers, and presentation renames.
 
     ``merges`` lists ``(old, new)`` variable renames applied to displayed
     series (the derivation semantics always uses the bud names).
+    ``name`` is left out of equality and hashing.
     """
 
     buds: tuple[str, ...]
@@ -133,7 +137,7 @@ class SynchronousGrammar:
     rules: tuple[Rule, ...]
     markers: tuple[str, ...] = ()
     merges: tuple[tuple[str, str], ...] = ()
-    name: str | None = field(default=None, compare=False)
+    name: str | None = None
 
     def __post_init__(self):
         if len(set(self.buds)) != len(self.buds):
@@ -161,6 +165,14 @@ class SynchronousGrammar:
                 raise GrammarError(f"merge source {old!r} is not a bud")
             if new in bud_set:
                 raise GrammarError(f"merge target {new!r} collides with a bud")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return _compared(self) == _compared(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(_compared(self))
 
     def rules_for(self, bud: str) -> tuple[Rule, ...]:
         return _rules_by_bud(self)[bud]

@@ -14,10 +14,10 @@ from a pair that :func:`verify_hypercube` has just verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from operator import le
-from typing import Iterable
 
+from ._record import frozen
 from .balance import RotationKind, classify_rotation, balanced_trees, is_balanced
 from .grammars import builtin_grammar, counting_series
 from .patterns import BalanceFlag, classify_balanced
@@ -49,7 +49,7 @@ class CrossCheckError(AssertionError):
         self.values = values
 
 
-@dataclass(frozen=True)
+@frozen
 class RotationRootSet:
     """Lower endpoint plus the ranks of the rotations reaching the upper."""
 
@@ -332,7 +332,7 @@ def count_maximal_balanced_intervals(
     return brute_poly
 
 
-@dataclass(frozen=True)
+@frozen
 class BalancedSubposet:
     """Balanced trees of one size with the covers that stay balanced."""
 

@@ -10,10 +10,10 @@ functions call :meth:`Limit.check`; the CLI and the scripts read
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._record import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class Limit:
     """One size bound: the largest accepted value and why."""
 

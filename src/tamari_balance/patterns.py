@@ -17,15 +17,15 @@ yields a doubly exponential count by height.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import limits
+from ._record import frozen
 from .balance import balanced_trees_of_height, is_balanced
 from .trees import LEAF, BinaryTree, iter_subtrees, node, nodes_over
 
 
-@dataclass(frozen=True)
+@frozen
 class ImbalancePattern:
     """Labeled incomplete binary tree; absent children match anything."""
 

@@ -16,7 +16,7 @@ grammar series (computed on exponent tuples in :mod:`.grammars`, not by
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 
 class Monomial:

@@ -20,9 +20,9 @@ edges and reachability masks; it is the test oracle for these routes.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from operator import le
-from typing import Iterable, Iterator
 
 from . import limits
 from .trees import (

@@ -39,9 +39,9 @@ from its children's codes, with no recursion by height.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator
 
 from . import limits
 
@@ -119,7 +119,7 @@ def node(left: BinaryTree = LEAF, right: BinaryTree = LEAF) -> BinaryTree:
     """
     t = _INTERN.get(id(left) * _SPREAD + id(right))
     if t is None:
-        t = nodes_over(left, (right,))[0]
+        t, = nodes_over(left, (right,))
     return t
 
 
@@ -138,15 +138,12 @@ def nodes_over(left: BinaryTree, rights: Iterable[BinaryTree]) -> list[BinaryTre
     count = 1 + left.node_count
     left_height = left.height
     left_hash = left._hash
-    get = _INTERN.get
-    new = BinaryTree.__new__
     out: list[BinaryTree] = []
-    append = out.append
     for right in rights:
         key = base + id(right)
-        t = get(key)
+        t = _INTERN.get(key)
         if t is None:
-            t = new(BinaryTree)
+            t = BinaryTree.__new__(BinaryTree)
             t.left = left
             t.right = right
             t.node_count = size = count + right.node_count
@@ -154,7 +151,7 @@ def nodes_over(left: BinaryTree, rights: Iterable[BinaryTree]) -> list[BinaryTre
             t.height = 1 + (left_height if left_height > right_height else right_height)
             t._hash = hash((left_hash, size, right._hash))
             _INTERN[key] = t
-        append(t)
+        out.append(t)
     return out
 
 

@@ -1,11 +1,11 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
-import dataclasses
 import json
 
 import pytest
 
 from tamari_balance import cli, fixtures, grammars, intervals, limits
+from tamari_balance._record import replace
 from tamari_balance.cli import SequenceReport, main, run_enum
 from tamari_balance.grammars import (
     builtin_grammar,
@@ -199,7 +199,7 @@ class TestEnum:
             return spec.expected[: max_n + 1]
 
         monkeypatch.setitem(
-            cli._FAMILIES, family, dataclasses.replace(spec, compute=compute)
+            cli._FAMILIES, family, replace(spec, compute=compute)
         )
         report = run_enum(family)
         assert asked == [len(spec.expected) - 1]
