@@ -4,7 +4,9 @@ Four subcommands:
 
 ``enum``
     Recompute a counting sequence and compare it against the embedded
-    reference values, row by row.
+    reference values, row by row.  The series-backed families read
+    their counts through the library's brute-versus-series cross-check,
+    which lives in :mod:`.intervals`.
 ``series``
     Render the truncated generating series of a builtin or user grammar,
     optionally with variables assigned integer values.
@@ -49,13 +51,13 @@ from .grammars import (
     _specialized_series,
     builtin_grammar,
     builtin_names,
-    counting_series,
     parse_grammar,
 )
 from .intervals import (
     CrossCheckError,
-    _balanced_pair_count,
-    _maximal_pair_count,
+    _BALANCED_INTERVALS,
+    _MAXIMAL_INTERVALS,
+    _SeriesCounts,
     balanced_subposet,
     hypercube_histogram,
 )
@@ -122,38 +124,6 @@ class SequenceReport:
         }
 
 
-@frozen
-class _SeriesCounts:
-    """A family's counts read off a grammar's counting series.
-
-    The count at size ``n`` is the ``x^(n+1)`` coefficient; up to
-    ``row``'s bound each one is cross-checked by the family's brute
-    route, ``brute``, named ``brute_route`` in a disagreement.
-    """
-
-    grammar: str
-    what: str
-    brute_route: str
-    brute: Callable[[int], int]
-    row: limits.Limit
-
-    def __call__(self, max_n: int) -> tuple[int, ...]:
-        poly = counting_series(builtin_grammar(self.grammar), max_n + 1)
-        out = []
-        for n in range(max_n + 1):
-            count = poly.coefficient({"x": n + 1})
-            if n <= self.row.bound:
-                brute = self.brute(n)
-                if brute != count:
-                    raise CrossCheckError(
-                        f"{self.what} routes disagree at n={n}",
-                        (self.brute_route, "series"),
-                        (brute, count),
-                    )
-            out.append(count)
-        return tuple(out)
-
-
 def _family_size(*values: int) -> Callable[[int], int]:
     allowed = ImbalanceSet.of(*values)
     return lambda n: len(imbalance_family(n, allowed))
@@ -203,20 +173,10 @@ _FAMILIES: dict[str, _Family] = {
         ),
     ),
     "balanced-intervals": _Family(
-        "n",
-        tuple(fixtures.BALANCED_INTERVAL_COUNTS),
-        _SeriesCounts(
-            "bi", "balanced interval", "brute", _balanced_pair_count,
-            limits.BRUTE_INTERVALS,
-        ),
+        "n", tuple(fixtures.BALANCED_INTERVAL_COUNTS), _BALANCED_INTERVALS
     ),
     "maximal-intervals": _Family(
-        "n",
-        tuple(fixtures.MAXIMAL_INTERVAL_COUNTS),
-        _SeriesCounts(
-            "mbi", "maximal interval", "brute", _maximal_pair_count,
-            limits.BRUTE_INTERVALS,
-        ),
+        "n", tuple(fixtures.MAXIMAL_INTERVAL_COUNTS), _MAXIMAL_INTERVALS
     ),
     "interior-by-height": _Family(
         "h", tuple(fixtures.INTERIOR_BY_HEIGHT), _interior_counts

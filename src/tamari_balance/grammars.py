@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 from itertools import product
 from operator import add, attrgetter
 
@@ -129,7 +128,8 @@ class SynchronousGrammar:
 
     ``merges`` lists ``(old, new)`` variable renames applied to displayed
     series (the derivation semantics always uses the bud names).
-    ``name`` is left out of equality and hashing.
+    ``name`` is left out of equality and hashing.  Each bud's rules, in
+    rule order, are tabled once at construction for :meth:`rules_for`.
     """
 
     buds: tuple[str, ...]
@@ -147,7 +147,7 @@ class SynchronousGrammar:
         bud_set = set(self.buds)
         if bud_set & set(self.markers):
             raise GrammarError("markers must be distinct from buds")
-        ruled = set()
+        by_bud: dict[str, list[Rule]] = {}
         for rule in self.rules:
             if rule.bud not in bud_set:
                 raise GrammarError(f"rule for unknown bud {rule.bud!r}")
@@ -156,8 +156,8 @@ class SynchronousGrammar:
             stray = set(frontier(rule.tree)) - bud_set
             if stray:
                 raise GrammarError(f"rule uses unknown buds {sorted(stray)}")
-            ruled.add(rule.bud)
-        missing = bud_set - ruled
+            by_bud.setdefault(rule.bud, []).append(rule)
+        missing = bud_set - set(by_bud)
         if missing:
             raise GrammarError(f"buds without rules: {sorted(missing)}")
         for old, new in self.merges:
@@ -165,6 +165,8 @@ class SynchronousGrammar:
                 raise GrammarError(f"merge source {old!r} is not a bud")
             if new in bud_set:
                 raise GrammarError(f"merge target {new!r} collides with a bud")
+        table = {bud: tuple(rules) for bud, rules in by_bud.items()}
+        object.__setattr__(self, "_rules_by_bud", table)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -175,15 +177,7 @@ class SynchronousGrammar:
         return hash(_compared(self))
 
     def rules_for(self, bud: str) -> tuple[Rule, ...]:
-        return _rules_by_bud(self)[bud]
-
-
-@lru_cache(maxsize=None)
-def _rules_by_bud(g: SynchronousGrammar) -> dict[str, tuple[Rule, ...]]:
-    table: dict[str, list[Rule]] = {b: [] for b in g.buds}
-    for rule in g.rules:
-        table[rule.bud].append(rule)
-    return {b: tuple(rs) for b, rs in table.items()}
+        return self._rules_by_bud[bud]
 
 
 def derive_all(g: SynchronousGrammar, tree: BudTree) -> list[BudTree]:

@@ -10,13 +10,18 @@ over the balanced trees, and the counting series of the ``bi``, ``mbi``
 and ``mbi_xi`` grammars from :func:`.grammars.counting_series`), and
 builds the balanced subposet.  Every cube dimension it reports comes
 from a pair that :func:`verify_hypercube` has just verified.
+
+The brute-versus-series cross-check lives here alone, in the private
+record ``_SeriesCounts``: the interval counts below and every
+series-backed family of the CLI's ``enum`` read their counts through it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 from operator import le
 
+from . import limits
 from ._record import frozen
 from .balance import RotationKind, classify_rotation, balanced_trees, is_balanced
 from .grammars import builtin_grammar, counting_series
@@ -250,23 +255,50 @@ def hypercube_histogram(n: int) -> dict[int, int]:
     return _dimension_histogram(comparable_pairs(trees, trees))
 
 
-def count_balanced_intervals(n: int) -> int:
-    """Number of comparable balanced pairs at size ``n``.
+@frozen
+class _SeriesCounts:
+    """A family's counts read off a builtin grammar's counting series.
 
-    Computed by brute force over the balanced trees and, independently,
-    as a grammar series coefficient; the two must agree and the brute
-    count is returned.
+    The count at size ``n`` is the ``x^(n+1)`` row of
+    :func:`.grammars.counting_series`: an ``int``, or a polynomial in
+    the grammar's markers.  ``brute`` computes the same row by brute
+    force; a disagreement raises :class:`CrossCheckError` naming the
+    count ``what`` and the routes ``brute_route`` and ``series``.
+    Called with ``max_n``, the record reads sizes 0..max_n off one series
+    and checks those up to ``row``'s bound; :meth:`at` reads and checks
+    one size, whatever the bound.
     """
-    brute = _balanced_pair_count(n)
-    bi = counting_series(builtin_grammar("bi"), n + 1)
-    via_grammar = bi.coefficient({"x": n + 1})
-    if brute != via_grammar:
-        raise CrossCheckError(
-            f"balanced interval routes disagree at n={n}",
-            ("brute", "series"),
-            (brute, via_grammar),
+
+    grammar: str
+    what: str
+    brute_route: str
+    brute: Callable[[int], int | Polynomial]
+    row: limits.Limit
+
+    def __call__(self, max_n: int) -> tuple[int | Polynomial, ...]:
+        poly = counting_series(builtin_grammar(self.grammar), max_n + 1)
+        return tuple(
+            self._read(poly, n, n <= self.row.bound) for n in range(max_n + 1)
         )
-    return brute
+
+    def at(self, n: int) -> int | Polynomial:
+        poly = counting_series(builtin_grammar(self.grammar), n + 1)
+        return self._read(poly, n, True)
+
+    def _read(self, poly: Polynomial, n: int, check: bool) -> int | Polynomial:
+        if poly.markers:
+            count = poly.collect("x").get(n + 1, Polynomial.zero(poly.markers))
+        else:
+            count = poly.coefficient({"x": n + 1})
+        if check:
+            brute = self.brute(n)
+            if brute != count:
+                raise CrossCheckError(
+                    f"{self.what} routes disagree at n={n}",
+                    (self.brute_route, "series"),
+                    (brute, count),
+                )
+        return count
 
 
 def _balanced_pair_count(n: int) -> int:
@@ -275,16 +307,47 @@ def _balanced_pair_count(n: int) -> int:
     return sum(1 for _ in comparable_pairs(trees, trees))
 
 
-def _maximal_interval_pairs(n: int) -> list[tuple[BinaryTree, BinaryTree]]:
+def _maximal_interval_pairs(n: int) -> Iterator[tuple[BinaryTree, BinaryTree]]:
     flags = [(t, classify_balanced(t)) for t in balanced_trees(n)]
     lowers = [t for t, flag in flags if BalanceFlag.MINIMAL_LEFT in flag]
     uppers = [t for t, flag in flags if BalanceFlag.MAXIMAL_RIGHT in flag]
-    return list(comparable_pairs(lowers, uppers))
+    return comparable_pairs(lowers, uppers)
 
 
 def _maximal_pair_count(n: int) -> int:
     """Maximal balanced intervals at size ``n``, by brute force alone."""
-    return len(_maximal_interval_pairs(n))
+    return sum(1 for _ in _maximal_interval_pairs(n))
+
+
+def _maximal_dimension_counts(n: int) -> Polynomial:
+    """Maximal balanced intervals at size ``n`` by verified cube
+    dimension, as a polynomial in ``xi``, by brute force alone."""
+    counts = _dimension_histogram(_maximal_interval_pairs(n))
+    return Polynomial(
+        {Monomial({"xi": k} if k else {}): c for k, c in counts.items()},
+        markers=("xi",),
+    )
+
+
+_BALANCED_INTERVALS = _SeriesCounts(
+    "bi", "balanced interval", "brute", _balanced_pair_count, limits.BRUTE_INTERVALS
+)
+_MAXIMAL_INTERVALS = _SeriesCounts(
+    "mbi", "maximal interval", "brute", _maximal_pair_count, limits.BRUTE_INTERVALS
+)
+_MAXIMAL_DIMENSIONS = _SeriesCounts(
+    "mbi_xi", "refined maximal interval", "brute", _maximal_dimension_counts,
+    limits.BRUTE_INTERVALS,
+)
+
+
+def count_balanced_intervals(n: int) -> int:
+    """Number of comparable balanced pairs at size ``n``.
+
+    Computed by brute force over the balanced trees and, independently,
+    as a grammar series coefficient; the two must agree.
+    """
+    return _BALANCED_INTERVALS.at(n)
 
 
 def count_maximal_balanced_intervals(
@@ -298,38 +361,7 @@ def count_maximal_balanced_intervals(
     ``xi^k`` coefficient counts the verified dimension-k cubes.  Both
     forms are cross-checked against the corresponding grammar series.
     """
-    if not by_dimension:
-        brute = _maximal_pair_count(n)
-        mbi = counting_series(builtin_grammar("mbi"), n + 1)
-        via_grammar = mbi.coefficient({"x": n + 1})
-        if brute != via_grammar:
-            raise CrossCheckError(
-                f"maximal interval routes disagree at n={n}",
-                ("brute", "series"),
-                (brute, via_grammar),
-            )
-        return brute
-    counts = _dimension_histogram(_maximal_interval_pairs(n))
-    brute_poly = Polynomial(
-        {Monomial({"xi": k} if k else {}): c for k, c in counts.items()},
-        markers=("xi",),
-    )
-    refined = counting_series(builtin_grammar("mbi_xi"), n + 1)
-    via_grammar = Polynomial(
-        {
-            mono.without("x"): coeff
-            for mono, coeff in refined.items()
-            if mono.exponent("x") == n + 1
-        },
-        markers=("xi",),
-    )
-    if brute_poly != via_grammar:
-        raise CrossCheckError(
-            f"refined maximal interval routes disagree at n={n}",
-            ("brute", "series"),
-            (brute_poly, via_grammar),
-        )
-    return brute_poly
+    return (_MAXIMAL_DIMENSIONS if by_dimension else _MAXIMAL_INTERVALS).at(n)
 
 
 @frozen

@@ -126,24 +126,40 @@ class TestEnum:
         assert code == 2
         assert "no reference values" in err
 
-    def test_route_disagreement_is_a_fail(self, capsys, monkeypatch):
-        real = cli.counting_series
+    @pytest.mark.parametrize(
+        "family, what, route",
+        [
+            pytest.param(family, what, route, id=family)
+            for family, what, route in (
+                ("balanced", "balanced", "enumeration"),
+                ("maximal-balanced", "maximal", "brute"),
+                ("balanced-intervals", "balanced interval", "brute"),
+                ("maximal-intervals", "maximal interval", "brute"),
+                ("zero-one-balanced", "zero-one balanced", "enumeration"),
+            )
+        ],
+    )
+    def test_route_disagreement_is_a_fail(
+        self, capsys, monkeypatch, family, what, route
+    ):
+        real = intervals.counting_series
 
         def wrong_at_three(g, max_degree):
             poly = real(g, max_degree)
             return poly - poly.coefficient({"x": 4}) * Polynomial.variable("x") ** 4
 
-        monkeypatch.setattr(cli, "counting_series", wrong_at_three)
-        code, out, err = run(capsys, "enum", "balanced-intervals", "--max-n", "3")
+        monkeypatch.setattr(intervals, "counting_series", wrong_at_three)
+        error = f"{what} routes disagree at n=3: 1 vs 0"
+        code, out, err = run(capsys, "enum", family, "--max-n", "3")
         assert code == 1
         assert out == ""
-        assert err == "FAIL: balanced interval routes disagree at n=3: 1 vs 0\n"
-        code, payload = run_json(capsys, "enum", "balanced-intervals", "--max-n", "3")
+        assert err == f"FAIL: {error}\n"
+        code, payload = run_json(capsys, "enum", family, "--max-n", "3")
         assert code == 1
         assert payload == {
             "verdict": "FAIL",
-            "error": "balanced interval routes disagree at n=3: 1 vs 0",
-            "routes": {"brute": 1, "series": 0},
+            "error": error,
+            "routes": {route: 1, "series": 0},
         }
 
     def test_plain_assertion_is_not_a_fail(self, capsys, monkeypatch):
@@ -175,14 +191,27 @@ class TestEnum:
     @pytest.mark.parametrize("family", ["balanced-intervals", "maximal-intervals"])
     def test_default_interval_enum_builds_one_series(self, monkeypatch, family):
         built = []
-        for module in (cli, intervals):
-            def recording(g, max_degree, real=module.counting_series):
-                built.append(g.name)
-                return real(g, max_degree)
+        real = intervals.counting_series
 
-            monkeypatch.setattr(module, "counting_series", recording)
+        def recording(g, max_degree):
+            built.append(g.name)
+            return real(g, max_degree)
+
+        monkeypatch.setattr(intervals, "counting_series", recording)
         assert run_enum(family).ok
         assert built == [cli._FAMILIES[family].compute.grammar]
+
+    def test_cli_leaves_the_route_cross_check_to_the_library(self):
+        names = {"counting_series", "_balanced_pair_count", "_maximal_pair_count"}
+        assert names.isdisjoint(vars(cli))
+        own = [
+            value
+            for value in vars(cli).values()
+            if isinstance(value, type) and value.__module__ == cli.__name__
+        ]
+        assert all("brute" not in getattr(c, "__match_args__", ()) for c in own)
+        with open(cli.__file__, encoding="utf-8") as handle:
+            assert "CrossCheckError(" not in handle.read()
 
     def test_run_enum_defaults(self):
         report = run_enum("interior-by-height")

@@ -110,6 +110,19 @@ class TestValidation:
 
 
 class TestDerivation:
+    def test_rules_for_never_hashes_the_grammar(self, monkeypatch):
+        g = builtin_grammar("mbi_xi")
+        expected = {bud: [r for r in g.rules if r.bud == bud] for bud in g.buds}
+        derived = derive_all(g, Bud(g.axiom))
+
+        def unhashable(self):
+            raise AssertionError("the grammar was hashed")
+
+        monkeypatch.setattr(SynchronousGrammar, "__hash__", unhashable)
+        for bud in g.buds:
+            assert list(g.rules_for(bud)) == expected[bud]
+        assert derive_all(g, Bud(g.axiom)) == derived
+
     def test_one_step_from_axiom(self):
         g = builtin_grammar("epl")
         assert derive_all(g, Bud("x")) == [

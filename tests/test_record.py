@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import tamari_balance
-from tamari_balance import cli, limits
+from tamari_balance import cli, intervals, limits
 from tamari_balance._record import replace
 from tamari_balance.balance import RotationClassification, RotationKind
 from tamari_balance.families import (
@@ -117,7 +117,7 @@ CASES = [
         ("family", "label", "indices", "computed", "expected"),
     ),
     (
-        cli._SeriesCounts("bal", "balanced", "enumeration", len, ROW),
+        intervals._SeriesCounts("bal", "balanced", "enumeration", len, ROW),
         "_SeriesCounts(grammar='bal', what='balanced', brute_route='enumeration', "
         "brute=<built-in function len>, row=Limit(bound=12, what='tamari_poset "
         "node count', reason='grows about 3x per node'))",
