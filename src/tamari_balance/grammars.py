@@ -8,14 +8,25 @@ substitution polynomials.  When the grammar carries a strictness
 certificate, iterating the substitution with truncation computes the
 generating series of the produced tree family up to any degree.
 
-One engine on exponent tuples serves :func:`series`, :func:`iterates`
-and :func:`counting_series`: the grammar's fixed-point equation, read as
-an iteration.  Each step rewrites every bud at once, as the sum over its
+One engine serves :func:`series`, :func:`iterates` and
+:func:`counting_series`: the grammar's fixed-point equation, read as an
+iteration.  Each step rewrites every bud at once, as the sum over its
 rules of the marker times the product of the previous step's values of
 the buds on the rule's frontier.  Started with every bud as itself, the
 k-th step is the k-th substitution iterate; started with every bud but
 the axiom at 0, it is that iterate at that point, whose ``x^(n+1)``
 coefficients are the counts the library checks.
+
+The engine keys each monomial by one packed int (after Monagan and
+Pearce, 2009): the counting degree in the top field, then one field per
+bud and then per marker, in the order ``(*g.buds, *g.markers)``, so
+multiplying two monomials is one integer add, and integer order sorts
+by degree first.  Each field is as wide as a proved bound needs, so
+none carries into the next (:func:`_layout`): with every degree at most
+``d`` over ``s`` steps, a bud's field holds ``d`` and a marker's
+``d * s``, since a marker on a one-bud rule grows with the step count.
+The series cut gives ``d``; :func:`iterates`, with no cut, takes for
+``d`` the largest rule frontier to the power of the step count.
 
 Rules may tag internal nodes with integer labels and a marked flag, and
 may attach a marker variable that multiplies into the series without
@@ -30,11 +41,10 @@ others are written out rule by rule.
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Iterable, Iterator
 from itertools import product
-from operator import add, attrgetter
+from operator import attrgetter
 
 from ._record import frozen, replace
 from .polynomials import Monomial, Polynomial
@@ -303,32 +313,62 @@ def check_unambiguous(g: SynchronousGrammar) -> bool:
     return True
 
 
-_Items = Iterable[tuple[tuple[int, ...], int]]
-_Terms = list[tuple[tuple[int, ...], int]]
+_Items = Iterable[tuple[int, int]]
+_Terms = list[tuple[int, int]]
+
+
+def _layout(g: SynchronousGrammar, cut: int, steps: int) -> tuple[int, ...]:
+    """Bit offsets of the engine's packed monomial keys.
+
+    A key is one int holding a monomial's counting degree (the sum of
+    its bud exponents) and its exponents over ``(*g.buds, *g.markers)``,
+    each in a field of its own: the degree's starts at ``shifts[0]`` and
+    has no upper end, and the ``i``-th variable's starts at
+    ``shifts[i]``, each field below the one before.  While no field
+    carries into the next, adding two keys multiplies their monomials,
+    and integer order is the order of the tuples ``(degree, *exponents)``,
+    so by degree first.
+
+    A bud's field is ``cut.bit_length()`` bits wide and a marker's
+    ``(cut * steps).bit_length()`` (one bit at least, for the marker
+    variables themselves).  No field carries on a run of steps
+    ``0 .. steps`` in which every term and every partial product within
+    the cut has degree at most ``cut`` and marker exponents at most
+    ``k * cut`` at step ``k``: a bud's exponent is at most the degree.
+    :func:`_summed_iterates` and :func:`iterates` each prove both bounds
+    for their runs.
+    """
+    widths = [max(cut, 1).bit_length()] * len(g.buds)
+    widths += [max(cut * steps, 1).bit_length()] * len(g.markers)
+    shifts = [0]
+    for width in reversed(widths):
+        shifts.append(shifts[-1] + width)
+    return tuple(reversed(shifts))
 
 
 def _multiply_into(
-    out: dict[tuple[int, ...], int],
-    left: _Items,
-    right: _Terms,
-    cut: float,
+    out: dict[int, int], left: _Items, right: _Terms, ceiling: int
 ) -> None:
-    """Add ``left * right`` into ``out``, skipping terms above degree ``cut``.
+    """Add ``left * right`` into ``out``, skipping every product whose
+    key is at least ``ceiling``, the key of degree one above the cut
+    with all exponent fields 0.
 
-    Keys carry their degree first, so adding keys entry by entry
-    multiplies the monomials; ``right`` is sorted by degree.
+    Adding two keys multiplies their monomials.  ``right`` is sorted, so
+    once ``k0 + k1`` reaches ``ceiling``, so does every later product;
+    its degree is then above the cut, and below it otherwise, since the
+    exponent fields of a product within the cut never carry.
     """
     for k0, c0 in left:
-        room = cut - k0[0]
+        room = ceiling - k0
         for k1, c1 in right:
-            if k1[0] > room:
+            if k1 >= room:
                 break
-            key = tuple(map(add, k0, k1))
+            key = k0 + k1
             out[key] = out.get(key, 0) + c0 * c1
 
 
 def _substitution_iterates(
-    g: SynchronousGrammar, cut: float, start: Iterable[str]
+    g: SynchronousGrammar, cut: int, shifts: tuple[int, ...], start: Iterable[str]
 ) -> Iterator[list[_Terms]]:
     """The fixed-point iterates ``Q_0, Q_1, ...``, one term list per bud.
 
@@ -339,29 +379,31 @@ def _substitution_iterates(
     substitution iterate of ``b``; with only the axiom started, it is
     that iterate with every other bud set to 0.
 
-    A term's key is ``(d, e_1, .., e_w)`` with ``e`` its exponents over
-    the buds then the markers of ``g`` and ``d`` its counting degree (the
-    bud exponents' sum); every term list is sorted, so by degree.  Terms
-    of degree above ``cut`` are dropped inside every multiply, which is
-    exact: no factor has negative degree, so a dropped partial product
-    has no completion within ``cut``.  Rules share frontiers, so each
-    multiset of factors is multiplied out once per step.
+    A term is ``(key, coefficient)``, its key packed by the offsets
+    ``shifts`` of :func:`_layout`, which the caller lays out for ``cut``
+    and for as many steps as it draws.  Every term list is sorted, so by
+    degree.  Terms of degree above ``cut`` are dropped inside every
+    multiply, which is exact: no factor has negative degree, so a
+    dropped partial product has no completion within ``cut``.  Rules
+    share frontiers, so each multiset of factors is multiplied out once
+    per step.
     """
+    top = shifts[0]
+    ceiling = (cut + 1) << top
     order = (*g.buds, *g.markers)
     index = {var: i for i, var in enumerate(order)}
 
     def variable(var: str) -> _Terms:
-        key = [0] * (len(order) + 1)
-        key[0] = int(var in g.buds)
-        key[index[var] + 1] = 1
-        return [(tuple(key), 1)] if key[0] <= cut else []
+        degree = int(var in g.buds)
+        key = degree << top | 1 << shifts[index[var] + 1]
+        return [(key, 1)] if degree <= cut else []
 
     def factors(rule: Rule) -> tuple[int, ...]:
         names = frontier(rule.tree) + ((rule.marker,) if rule.marker else ())
         return tuple(sorted(index[var] for var in names))
 
     rules = [[factors(r) for r in g.rules_for(bud)] for bud in g.buds]
-    unit = [((0,) * (len(order) + 1), 1)]
+    unit = [(0, 1)]
     markers = [variable(m) for m in g.markers]
     live = set(start)
     current = [variable(b) if b in live else [] for b in g.buds]
@@ -374,14 +416,14 @@ def _substitution_iterates(
             if len(key) == 1:
                 return values[key[0]]
             if key not in products:
-                out: dict[tuple[int, ...], int] = {}
-                _multiply_into(out, product(key[:-1]), values[key[-1]], cut)
+                out: dict[int, int] = {}
+                _multiply_into(out, product(key[:-1]), values[key[-1]], ceiling)
                 products[key] = out.items()
             return products[key]
 
         nxt = []
         for bud_rules in rules:
-            total: dict[tuple[int, ...], int] = {}
+            total: dict[int, int] = {}
             for key in bud_rules:
                 for term, coeff in product(key):
                     total[term] = total.get(term, 0) + coeff
@@ -389,14 +431,21 @@ def _substitution_iterates(
         current = nxt
 
 
-def _to_polynomial(g: SynchronousGrammar, terms: _Items) -> Polynomial:
-    """Exponent-tuple terms as a :class:`Polynomial`, merges applied."""
+def _to_polynomial(
+    g: SynchronousGrammar, terms: _Items, shifts: tuple[int, ...]
+) -> Polynomial:
+    """Packed terms, laid out by ``shifts``, as a :class:`Polynomial`,
+    merges applied."""
     renames = dict(g.merges)
-    names = [renames.get(var, var) for var in (*g.buds, *g.markers)]
+    fields = [
+        (renames.get(var, var), shift, (1 << (above - shift)) - 1)
+        for var, above, shift in zip((*g.buds, *g.markers), shifts, shifts[1:])
+    ]
     out: dict[Monomial, int] = {}
     for key, coeff in terms:
         exps: dict[str, int] = {}
-        for name, exp in zip(names, key[1:]):
+        for name, shift, mask in fields:
+            exp = key >> shift & mask
             if exp:
                 exps[name] = exps.get(name, 0) + exp
         mono = Monomial(exps)
@@ -409,14 +458,26 @@ def iterates(g: SynchronousGrammar, count: int) -> list[Polynomial]:
 
     ``S^(0)`` is the axiom variable and each step substitutes every bud
     by its rule-evaluation sum.  Presentation renames are applied to the
-    returned polynomials.  Runs the engine of :func:`series` with no
-    degree cut.
+    returned polynomials.  Runs the engine of :func:`series` with a cut
+    that no term reaches, ``cut = max(1, F) ** count`` for ``F`` the
+    largest rule frontier, and lays its keys out for that cut:
+
+    - a term of step ``k`` is a marker times at most ``F`` terms of step
+      ``k - 1``, so its degree is at most ``max(1, F) ** k <= cut``;
+    - its marker exponents are at most ``m_k``, where ``m_0 = 0`` and
+      ``m_k <= F * m_(k-1) + 1``, so
+      ``m_k <= max(1, F) ** 0 + .. + max(1, F) ** (k-1) <= k * cut``.
+
+    A partial product is a factor of such a term, so within both bounds.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    widest = max(1, *(len(frontier(rule.tree)) for rule in g.rules))
+    cut = widest**count
+    shifts = _layout(g, cut, count)
     axiom = g.buds.index(g.axiom)
-    steps = _substitution_iterates(g, math.inf, g.buds)
-    return [_to_polynomial(g, next(steps)[axiom]) for _ in range(count + 1)]
+    steps = _substitution_iterates(g, cut, shifts, g.buds)
+    return [_to_polynomial(g, next(steps)[axiom], shifts) for _ in range(count + 1)]
 
 
 def iterate_sum(g: SynchronousGrammar, count: int) -> Polynomial:
@@ -429,22 +490,39 @@ def iterate_sum(g: SynchronousGrammar, count: int) -> Polynomial:
 
 def _summed_iterates(
     g: SynchronousGrammar, max_degree: int, start: Iterable[str]
-) -> dict[tuple[int, ...], int]:
-    """Sum of the axiom's iterates ``Q_k(axiom)`` cut at ``max_degree``.
+) -> tuple[_Items, tuple[int, ...]]:
+    """Sum of the axiom's iterates ``Q_k(axiom)`` cut at ``max_degree``,
+    as packed terms and the offsets that lay them out.
 
     Stops once every bud's iterate is empty: with only the axiom started,
     the axiom's iterate can be empty at one step and not at the next.
+    The strictness certificate bounds the steps by ``limit`` below, and
+    past it :class:`AssertionError` is raised, not asserted, so the
+    bound holds under ``python -O``.
+
+    The keys are laid out for degrees at most ``max_degree`` and
+    ``limit`` steps.  The cut bounds every degree.  Every rule keeps a
+    bud, so a frontier never shrinks: a term of step ``k - 1`` of degree
+    ``D`` had at most ``D`` buds rewritten at each of its steps, so its
+    marker exponents are at most ``(k - 1) * D``.  A term or partial
+    product of step ``k`` within the cut multiplies such terms of total
+    degree at most ``max_degree`` by at most one rule marker, so its
+    marker exponents are at most ``(k - 1) * max_degree + 1``, which is
+    at most ``k * max_degree`` for ``max_degree >= 1``; at
+    ``max_degree = 0`` no term of a bud is built at all.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     if not check_strict(g):
         raise CertificateError("grammar carries no strictness certificate")
     axiom = g.buds.index(g.axiom)
-    total: dict[tuple[int, ...], int] = {}
+    total: dict[int, int] = {}
     limit = (max_degree + 2) * (len(g.buds) + 1)
-    for _, current in zip(range(limit), _substitution_iterates(g, max_degree, start)):
+    shifts = _layout(g, max_degree, limit)
+    steps = _substitution_iterates(g, max_degree, shifts, start)
+    for _, current in zip(range(limit), steps):
         if not any(current):
-            return total
+            return total.items(), shifts
         for key, coeff in current[axiom]:
             total[key] = total.get(key, 0) + coeff
     raise AssertionError("certified series iteration failed to terminate")
@@ -455,13 +533,14 @@ def series(g: SynchronousGrammar, max_degree: int) -> Polynomial:
 
     Sums the substitution iterates of the axiom, each truncated at
     ``max_degree``, every bud started as itself.  The iterates live in
-    lists keyed by exponent tuples, every multiply drops the terms above
-    ``max_degree`` as it goes, and the sum becomes a :class:`Polynomial`
-    once, with the presentation renames applied.  Requires a strictness
-    certificate: without it the iteration need not terminate, and
-    :class:`CertificateError` is raised up front.
+    lists of packed monomial keys, one int each (see :func:`_layout`),
+    every multiply drops the terms above ``max_degree`` as it goes, and
+    the sum becomes a :class:`Polynomial` once, with the presentation
+    renames applied.  Requires a strictness certificate: without it the
+    iteration need not terminate, and :class:`CertificateError` is
+    raised up front.
     """
-    return _to_polynomial(g, _summed_iterates(g, max_degree, g.buds).items())
+    return _to_polynomial(g, *_summed_iterates(g, max_degree, g.buds))
 
 
 def _specialized_series(
@@ -476,7 +555,7 @@ def _specialized_series(
     """
     renames = dict(g.merges)
     start = [b for b in g.buds if assignments.get(renames.get(b, b)) != 0]
-    poly = _to_polynomial(g, _summed_iterates(g, max_degree, start).items())
+    poly = _to_polynomial(g, *_summed_iterates(g, max_degree, start))
     return poly.specialize(assignments) if assignments else poly
 
 
@@ -492,7 +571,7 @@ def counting_series(g: SynchronousGrammar, max_degree: int) -> Polynomial:
     :func:`series` does.
     """
     terms = _summed_iterates(g, max_degree, (g.axiom,))
-    return _to_polynomial(replace(g, merges=()), terms.items())
+    return _to_polynomial(replace(g, merges=()), *terms)
 
 
 def imbalance_grammar(values: Iterable[int]) -> SynchronousGrammar:

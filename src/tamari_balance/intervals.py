@@ -18,7 +18,7 @@ series-backed family of the CLI's ``enum`` read their counts through it.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable
 from operator import le
 
 from . import limits
@@ -29,6 +29,7 @@ from .patterns import BalanceFlag, classify_balanced
 from .polynomials import Monomial, Polynomial
 from .tamari import (
     IncomparableError,
+    _comparable_count,
     _members_between,
     _size_mismatch,
     _vector_moves,
@@ -304,25 +305,27 @@ class _SeriesCounts:
 def _balanced_pair_count(n: int) -> int:
     """Comparable balanced pairs at size ``n``, by brute force alone."""
     trees = balanced_trees(n)
-    return sum(1 for _ in comparable_pairs(trees, trees))
+    return _comparable_count(trees, trees)
 
 
-def _maximal_interval_pairs(n: int) -> Iterator[tuple[BinaryTree, BinaryTree]]:
+def _maximal_interval_ends(n: int) -> tuple[list[BinaryTree], list[BinaryTree]]:
+    """The balanced trees of size ``n`` that are minimal to the left, and
+    those that are maximal to the right: the ends of maximal intervals."""
     flags = [(t, classify_balanced(t)) for t in balanced_trees(n)]
     lowers = [t for t, flag in flags if BalanceFlag.MINIMAL_LEFT in flag]
     uppers = [t for t, flag in flags if BalanceFlag.MAXIMAL_RIGHT in flag]
-    return comparable_pairs(lowers, uppers)
+    return lowers, uppers
 
 
 def _maximal_pair_count(n: int) -> int:
     """Maximal balanced intervals at size ``n``, by brute force alone."""
-    return sum(1 for _ in _maximal_interval_pairs(n))
+    return _comparable_count(*_maximal_interval_ends(n))
 
 
 def _maximal_dimension_counts(n: int) -> Polynomial:
     """Maximal balanced intervals at size ``n`` by verified cube
     dimension, as a polynomial in ``xi``, by brute force alone."""
-    counts = _dimension_histogram(_maximal_interval_pairs(n))
+    counts = _dimension_histogram(comparable_pairs(*_maximal_interval_ends(n)))
     return Polynomial(
         {Monomial({"xi": k} if k else {}): c for k, c in counts.items()},
         markers=("xi",),

@@ -68,8 +68,9 @@ ENUM_CROSS_CHECK = Limit(
 )
 BRUTE_INTERVALS = Limit(
     19, "brute-force interval cross-check size",
-    "both interval families' brute routes take about 1 s to n=19 (0.2-0.3 s "
-    "for balanced pairs at n=19 alone), but 13.6-14.8 s at n=22 alone",
+    "both interval families' brute routes count to n=19 in 0.5-0.6 s "
+    "(0.2 s for balanced pairs at n=19 alone), but balanced pairs take "
+    "0.9 s at n=21 and 3.3-3.7 s at n=22 alone",
 )
 CHECK_SWEEP = Limit(
     12, "check closure sweep size",

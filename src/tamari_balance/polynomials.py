@@ -9,9 +9,12 @@ coefficients.  Display order is graded lexicographic, grading first by
 counting degree so that series read off small objects first.
 
 The public constructor checks its terms.  Arithmetic results, and the
-grammar series (computed on exponent tuples in :mod:`.grammars`, not by
-:meth:`Polynomial.substitute`), are wrapped once by the trusted
-``Polynomial._from_terms``, which skips those checks.
+grammar series, are wrapped once by the trusted
+``Polynomial._from_terms``, which skips those checks.  The series is not
+computed by :meth:`Polynomial.substitute` but in :mod:`.grammars`, on
+monomials packed into one int each: the counting degree in the top
+field, then one field per bud and per marker, each wide enough for a
+bound proved from the degree cut and the step count.
 """
 
 from __future__ import annotations

@@ -176,6 +176,24 @@ def comparable_pairs(
     both sizes.
     """
     uppers = tuple(uppers)
+    for lower, above in _masks_above(lowers, uppers):
+        for i in mask_indices(above):
+            yield lower, uppers[i]
+
+
+def _comparable_count(
+    lowers: Iterable[BinaryTree], uppers: Iterable[BinaryTree]
+) -> int:
+    """How many pairs :func:`comparable_pairs` yields, counted by the
+    set bits of each lower tree's mask, with no pair built."""
+    return sum(above.bit_count() for _, above in _masks_above(lowers, tuple(uppers)))
+
+
+def _masks_above(
+    lowers: Iterable[BinaryTree], uppers: tuple[BinaryTree, ...]
+) -> Iterator[tuple[BinaryTree, int]]:
+    """Each lower tree, in order, with the mask of the uppers above it,
+    as :func:`comparable_pairs` describes."""
     if not uppers:
         return
     size = uppers[0].node_count
@@ -188,8 +206,7 @@ def comparable_pairs(
         above = (1 << len(uppers)) - 1
         for row, entry in zip(at_least, bracket_vector(lower)):
             above &= row[entry]
-        for i in mask_indices(above):
-            yield lower, uppers[i]
+        yield lower, above
 
 
 def _dominance_index(trees: tuple[BinaryTree, ...]) -> list[list[int]]:

@@ -1,9 +1,15 @@
 """Tests for the synchronous grammar engine."""
 
+import ast
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from tamari_balance import grammars
 from tamari_balance.grammars import (
     Bud,
     BudNode,
@@ -660,6 +666,54 @@ class TestEngineAgainstReference:
         assert not check_strict(g)
         for got, want in zip(iterates(g, 3), _reference_iterates(g, 3)):
             assert _same(got, want)
+
+
+_CHAIN = (
+    "buds: x y z\naxiom: x\nmarkers: m\n"
+    "x -> <y> @m\ny -> <z> @m\nz -> [<x> <x>]\n"
+)
+
+
+class TestPackedKeys:
+    """The engine's packed keys at the ends of their layout."""
+
+    def test_perf_iterates_far_past_a_small_field(self):
+        g = builtin_grammar("perf")
+        got = iterates(g, 7)
+        assert got[-1] == poly({(("x", 128),): 1})
+        for mine, want in zip(got, _reference_iterates(g, 7)):
+            assert _same(mine, want)
+
+    def test_markers_on_one_bud_rules_outgrow_the_degree(self):
+        g = parse_grammar(_CHAIN)
+        assert check_strict(g)
+        got = series(g, 9)
+        assert _same(got, _reference_series(g, 9))
+        # m^30 takes 5 bits, and a bud's field at degree 9 has 4.
+        assert max(mono.exponent("m") for mono, _ in got.items()) == 30
+        assert got.coefficient({"m": 30, "z": 8}) == 1
+        assert _same(counting_series(g, 9), _point_reference(g, 9))
+        for mine, want in zip(iterates(g, 12), _reference_iterates(g, 12)):
+            assert _same(mine, want)
+
+    def test_engine_checks_are_raised_not_asserted(self):
+        with open(grammars.__file__, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree))
+
+    def test_pass_under_optimize(self):
+        src = os.path.dirname(os.path.dirname(grammars.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__]
+        result = subprocess.run(
+            [sys.executable, *argv, "-k", "TestPackedKeys and not optimize"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "3 passed" in result.stdout
 
 
 def _point_reference(g, max_degree):

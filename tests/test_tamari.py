@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cover_walk_interval, small_trees
-from tamari_balance import cli, families, intervals, tamari
+from tamari_balance import cli, families, fixtures, intervals, tamari
 from tamari_balance.balance import balanced_trees
 from tamari_balance.families import closure_check
 from tamari_balance.tamari import (
@@ -365,6 +365,37 @@ def test_comparable_pairs_reject_other_sizes():
         list(comparable_pairs([parse("(..)")], all_trees(3)))
     with pytest.raises(ValueError, match="cannot compare trees with 3 and 2 nodes"):
         list(comparable_pairs(all_trees(3), all_trees(3) + all_trees(2)))
+    with pytest.raises(ValueError, match="cannot compare trees with 1 and 3 nodes"):
+        tamari._comparable_count([parse("(..)")], all_trees(3))
+    with pytest.raises(ValueError, match="cannot compare trees with 3 and 2 nodes"):
+        tamari._comparable_count(all_trees(3), all_trees(3) + all_trees(2))
+
+
+@pytest.mark.parametrize(
+    "lowers, uppers",
+    [
+        (all_trees(6), all_trees(6)),
+        (balanced_trees(7), tuple(reversed(all_trees(7)))),
+        (all_trees(5), balanced_trees(5)),
+        ([], all_trees(3)),
+        (all_trees(3), []),
+        ([LEAF], [LEAF]),
+    ],
+    ids=["all-6", "balanced-7", "balanced-5", "no-lowers", "no-uppers", "leaf"],
+)
+def test_comparable_count_counts_the_pairs(lowers, uppers):
+    want = len(list(comparable_pairs(lowers, uppers)))
+    assert tamari._comparable_count(lowers, uppers) == want
+    assert tamari._comparable_count(iter(lowers), iter(uppers)) == want
+
+
+def test_brute_interval_counts_build_no_pair(monkeypatch):
+    def refuse(mask):
+        raise AssertionError("a pair was built only to be counted")
+
+    monkeypatch.setattr(tamari, "mask_indices", refuse)
+    assert intervals._balanced_pair_count(9) == fixtures.BALANCED_INTERVAL_COUNTS[9]
+    assert intervals._maximal_pair_count(9) == fixtures.MAXIMAL_INTERVAL_COUNTS[9]
 
 
 def test_comparable_pairs_build_the_index_on_the_first_lower(monkeypatch):
