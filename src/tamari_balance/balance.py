@@ -29,6 +29,7 @@ from .tamari import RotationError
 from .trees import (
     LEAF,
     BinaryTree,
+    _path_to,
     iter_subtrees,
     nodes_over,
     sorted_by_text,
@@ -130,7 +131,7 @@ def classify_rotation(t: BinaryTree, rank: int) -> RotationClassification:
     """Classify the right rotation at ``rank`` by its imbalance effect."""
     sub = subtree_at(t, rank)
     x = sub.left
-    if x is None or x.node_count == 0 or x.left is None:
+    if not x.node_count:
         raise RotationError(f"right rotation needs a left subtree at rank {rank}")
     a, b, c = x.left.height, x.right.height, sub.right.height
     before = (b - a, c - x.height)
@@ -146,24 +147,10 @@ def classify_rotation(t: BinaryTree, rank: int) -> RotationClassification:
 
 def _right_flank(t: BinaryTree, rank: int) -> list[BinaryTree]:
     """Right subtree of the node at ``rank``, then the right subtrees of
-    its larger-rank ancestors, bottom to top."""
-    ancestors: list[BinaryTree] = []
-    cur = t
-    r = rank
-    while True:
-        assert cur.left is not None and cur.right is not None
-        root_rank = cur.left.node_count + 1
-        if r == root_rank:
-            break
-        if r < root_rank:
-            ancestors.append(cur)
-            cur = cur.left
-        else:
-            r -= root_rank
-            cur = cur.right
-    flank = [cur.right]
-    flank.extend(a.right for a in reversed(ancestors))
-    return flank
+    its larger-rank ancestors, bottom to top: those the walk to ``rank``
+    left by their left child."""
+    path, sub = _path_to(t, rank)
+    return [sub.right, *(a.right for a, went_left in reversed(path) if went_left)]
 
 
 def height_word(t: BinaryTree, rank: int) -> tuple[int, ...]:
@@ -173,8 +160,6 @@ def height_word(t: BinaryTree, rank: int) -> tuple[int, ...]:
     rest are the right-subtree heights of its larger-rank ancestors read
     bottom to top.
     """
-    if not 1 <= rank <= t.node_count:
-        raise ValueError(f"rank {rank} out of range 1..{t.node_count}")
     return tuple(sub.height for sub in _right_flank(t, rank))
 
 
@@ -226,7 +211,6 @@ def witnesses(t: BinaryTree) -> Iterator[tuple[int, int]]:
     """
     positions = list(iter_subtrees(t))
     for rank, sub in reversed(positions):
-        assert sub.left is not None and sub.right is not None
         if sub.right.height - sub.left.height < 2:
             continue
         if not is_balanced(sub.left):

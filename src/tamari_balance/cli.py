@@ -62,7 +62,7 @@ from .intervals import (
     hypercube_histogram,
 )
 from .patterns import BalanceFlag, classify_balanced, interior_count
-from .polynomials import Polynomial
+from .polynomials import _format_terms
 from .tamari import _interval_members, hasse_dot, tamari_leq
 from .trees import LEAF, TreeParseError, node, parse, serialize
 
@@ -269,13 +269,6 @@ def _parse_assignments(items: Sequence[str]) -> dict[str, int]:
     return values
 
 
-def _polynomial_payload(poly: Polynomial) -> list[dict]:
-    return [
-        {"coefficient": coeff, "monomial": dict(mono.pairs)}
-        for mono, coeff in poly.sorted_terms()
-    ]
-
-
 def cmd_series(args: argparse.Namespace) -> int:
     if args.builtin is not None:
         grammar = builtin_grammar(args.builtin)
@@ -304,6 +297,7 @@ def cmd_series(args: argparse.Namespace) -> int:
         raise UsageError(f"--degree must be nonnegative, got {args.degree}")
     poly = _specialized_series(grammar, args.degree, assignments)
     if args.json:
+        terms = poly.sorted_terms()
         print(
             json.dumps(
                 {
@@ -311,8 +305,11 @@ def cmd_series(args: argparse.Namespace) -> int:
                     "grammar": source,
                     "degree": args.degree,
                     "assignments": assignments,
-                    "polynomial": str(poly),
-                    "terms": _polynomial_payload(poly),
+                    "polynomial": _format_terms(terms),
+                    "terms": [
+                        {"coefficient": coeff, "monomial": dict(mono.pairs)}
+                        for mono, coeff in terms
+                    ],
                 },
                 indent=2,
             )

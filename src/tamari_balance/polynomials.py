@@ -320,22 +320,25 @@ class Polynomial:
         )
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            factors = [
-                var if exp == 1 else f"{var}^{exp}" for var, exp in mono.pairs
-            ]
-            magnitude = abs(coeff)
-            if magnitude != 1 or not factors:
-                factors.insert(0, str(magnitude))
-            body = "*".join(factors)
-            if not chunks:
-                chunks.append(body if coeff > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(chunks)
+        return _format_terms(self.sorted_terms())
 
     def __repr__(self) -> str:
         return f"<Polynomial {self}>"
+
+
+def _format_terms(terms: list[tuple[Monomial, int]]) -> str:
+    """Render terms, in the order given, as :meth:`Polynomial.__str__` does."""
+    if not terms:
+        return "0"
+    chunks: list[str] = []
+    for mono, coeff in terms:
+        factors = [var if exp == 1 else f"{var}^{exp}" for var, exp in mono.pairs]
+        magnitude = abs(coeff)
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        body = "*".join(factors)
+        if not chunks:
+            chunks.append(body if coeff > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(chunks)

@@ -5,7 +5,9 @@ it is addressed by the infix rank of the rewritten subtree's root, which
 is stable under the rotation (the node at that rank becomes the root of
 ``B ^ C``).  Covers of the order are exactly single right rotations, and
 ``T0 <= T1`` holds when some chain of right rotations leads from ``T0``
-to ``T1``.
+to ``T1``.  Both rotations are the one walk to a rank of
+:mod:`~tamari_balance.trees` plus a bottom-up rebuild, at any depth;
+where a right rotation applies is stated once, by :func:`_vector_moves`.
 
 The order is decided without search by the bracket-vector criterion of
 Huang and Tamari (1972): ``T0 <= T1`` exactly when every entry of
@@ -28,6 +30,8 @@ from . import limits
 from .trees import (
     LEAF,
     BinaryTree,
+    _graft,
+    _path_to,
     all_trees,
     iter_subtrees,
     node,
@@ -50,23 +54,11 @@ def right_rotation(t: BinaryTree, rank: int) -> BinaryTree:
     The node's left subtree must be nonempty; ranks of all nodes are
     preserved, and the node at ``rank`` ends up rooting ``B ^ C``.
     """
-    if not 1 <= rank <= t.node_count:
-        raise ValueError(f"rank {rank} out of range 1..{t.node_count}")
-
-    def rebuild(cur: BinaryTree, r: int) -> BinaryTree:
-        root_rank = cur.left.node_count + 1
-        if r == root_rank:
-            x = cur.left
-            if x.node_count == 0:
-                raise RotationError(
-                    f"right rotation needs a left subtree at rank {rank}"
-                )
-            return node(x.left, node(x.right, cur.right))
-        if r < root_rank:
-            return node(rebuild(cur.left, r), cur.right)
-        return node(cur.left, rebuild(cur.right, r - root_rank))
-
-    return rebuild(t, rank)
+    path, y = _path_to(t, rank)
+    x = y.left
+    if not x.node_count:
+        raise RotationError(f"right rotation needs a left subtree at rank {rank}")
+    return _graft(path, node(x.left, node(x.right, y.right)))
 
 
 def left_rotation(t: BinaryTree, rank: int) -> BinaryTree:
@@ -76,24 +68,13 @@ def left_rotation(t: BinaryTree, rank: int) -> BinaryTree:
     The node must be the right child of its parent; the parent's subtree
     ``A ^ (B ^ C)`` becomes ``(A ^ B) ^ C``.
     """
-    if not 1 <= rank <= t.node_count:
-        raise ValueError(f"rank {rank} out of range 1..{t.node_count}")
-
-    def rebuild(cur: BinaryTree, r: int) -> BinaryTree:
-        root_rank = cur.left.node_count + 1
-        if r == root_rank:
-            raise RotationError(
-                f"left rotation needs the node at rank {rank} to be a right child"
-            )
-        if r < root_rank:
-            return node(rebuild(cur.left, r), cur.right)
-        rr = r - root_rank
-        right = cur.right
-        if rr == right.left.node_count + 1:
-            return node(node(cur.left, right.left), right.right)
-        return node(cur.left, rebuild(cur.right, rr))
-
-    return rebuild(t, rank)
+    path, y = _path_to(t, rank)
+    if not path or path[-1][1]:
+        raise RotationError(
+            f"left rotation needs the node at rank {rank} to be a right child"
+        )
+    parent, _ = path.pop()
+    return _graft(path, node(node(parent.left, y.left), y.right))
 
 
 def bracket_vector(t: BinaryTree) -> tuple[int, ...]:
@@ -122,8 +103,9 @@ def phi(t: BinaryTree) -> int:
 
 
 def rotation_ranks(t: BinaryTree) -> tuple[int, ...]:
-    """Ranks where a right rotation applies (nodes with a left subtree)."""
-    return tuple(rank for rank, sub in iter_subtrees(t) if sub.left.node_count)
+    """Ranks where a right rotation applies (nodes with a left subtree),
+    read off :func:`_vector_moves`."""
+    return tuple(rank for rank, _, _ in _vector_moves(t))
 
 
 def _vector_moves(t: BinaryTree) -> Iterator[tuple[int, int, int]]:

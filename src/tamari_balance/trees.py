@@ -3,7 +3,11 @@
 A tree is either the empty tree (a leaf slot, drawn ``.``) or an internal
 node with two subtrees, drawn ``(<left><right>)``.  Internal nodes are
 numbered 1..n by infix order (left subtree, node, right subtree); all
-node-addressed operations take these 1-based ranks.
+node-addressed operations take these 1-based ranks.  One walk,
+:func:`_path_to`, goes from the root to a rank, and every function that
+finds a node by its rank reads it; the rotations rebuild its path
+bottom-up with :func:`_graft`.  Rotations and :func:`mirror` work at any
+depth: no function here recurses by height.
 
 Heights count internal nodes on a longest root-to-leaf path: the empty
 tree has height 0 and a single node has height 1.  The imbalance of a
@@ -265,49 +269,60 @@ def leaf_count(t: BinaryTree) -> int:
     return t.node_count + 1
 
 
-def subtree_at(t: BinaryTree, rank: int) -> BinaryTree:
-    """Subtree rooted at the node with the given infix rank (1-based)."""
+_Path = list[tuple[BinaryTree, bool]]
+
+
+def _path_to(t: BinaryTree, rank: int) -> tuple[_Path, BinaryTree]:
+    """The walk from the root of ``t`` to the node at infix ``rank``:
+    ``(path, sub)``, with ``sub`` the subtree at ``rank`` and ``path`` its
+    ancestors from the root down, each with whether the walk went left
+    there.  Identity cannot tell the side: trees are hash-consed, so a
+    node with two equal children has ``left is right``.
+    """
     if not 1 <= rank <= t.node_count:
         raise ValueError(f"rank {rank} out of range 1..{t.node_count}")
+    path: _Path = []
     cur = t
     while True:
-        assert cur.left is not None and cur.right is not None
         root_rank = cur.left.node_count + 1
         if rank == root_rank:
-            return cur
+            return path, cur
         if rank < root_rank:
+            path.append((cur, True))
             cur = cur.left
         else:
+            path.append((cur, False))
             rank -= root_rank
             cur = cur.right
+
+
+def _graft(path: _Path, sub: BinaryTree) -> BinaryTree:
+    """The tree ``path`` leads down from, with ``sub`` put where the path
+    ends; ``path`` is as :func:`_path_to` returns it.  Rebuilt bottom-up,
+    one :func:`node` per ancestor."""
+    for parent, went_left in reversed(path):
+        sub = node(sub, parent.right) if went_left else node(parent.left, sub)
+    return sub
+
+
+def subtree_at(t: BinaryTree, rank: int) -> BinaryTree:
+    """Subtree rooted at the node with the given infix rank (1-based)."""
+    return _path_to(t, rank)[1]
 
 
 def child_ranks(t: BinaryTree, rank: int) -> tuple[int | None, int | None]:
     """Infix ranks of the children of the node at ``rank``.
 
-    Returns ``(left_rank, right_rank)`` with ``None`` for an empty child.
+    Returns ``(left_rank, right_rank)`` with ``None`` for an empty child:
+    for children ``L`` and ``R``, ``rank - |L.right| - 1`` and
+    ``rank + |R.left| + 1``.
     """
-    if not 1 <= rank <= t.node_count:
-        raise ValueError(f"rank {rank} out of range 1..{t.node_count}")
-    base = 0
-    cur = t
-    while True:
-        assert cur.left is not None and cur.right is not None
-        root_rank = base + cur.left.node_count + 1
-        if rank == root_rank:
-            break
-        if rank < root_rank:
-            cur = cur.left
-        else:
-            base = root_rank
-            cur = cur.right
-    left_rank = None
-    if cur.left.node_count:
-        left_rank = base + cur.left.left.node_count + 1  # type: ignore[union-attr]
-    right_rank = None
-    if cur.right.node_count:
-        right_rank = rank + cur.right.left.node_count + 1  # type: ignore[union-attr]
-    return (left_rank, right_rank)
+    sub = subtree_at(t, rank)
+    left, right = sub.left, sub.right
+    return (
+        rank - left.right.node_count - 1 if left.node_count else None,
+        rank + right.left.node_count + 1 if right.node_count else None,
+    )
 
 
 def imbalance(t: BinaryTree, rank: int | None = None) -> int:
@@ -335,10 +350,25 @@ def is_right_of(t: BinaryTree, x: int, y: int) -> bool:
 
 
 def mirror(t: BinaryTree) -> BinaryTree:
-    """Reflect left-right; an involution."""
-    if t.left is None or t.right is None:
-        return t
-    return node(mirror(t.right), mirror(t.left))
+    """Reflect left-right; an involution.
+
+    Each distinct subtree is mirrored once, bottom-up, in a memo local to
+    the call and keyed by identity (``t`` keeps its subtrees alive).
+    """
+    image: dict[int, BinaryTree] = {id(LEAF): LEAF}
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        if id(cur) in image:
+            continue
+        left = image.get(id(cur.left))
+        right = image.get(id(cur.right))
+        if left is None or right is None:
+            # Come back once both children have their images.
+            stack += (cur, cur.right, cur.left)
+            continue
+        image[id(cur)] = node(right, left)
+    return image[id(t)]
 
 
 def iter_subtrees(t: BinaryTree) -> Iterator[tuple[int, BinaryTree]]:

@@ -5,7 +5,7 @@ from operator import le
 from hypothesis import strategies as st
 
 from tamari_balance.tamari import bracket_vector, covers
-from tamari_balance.trees import all_trees
+from tamari_balance.trees import LEAF, all_trees, node
 
 
 def trees_with_up_to(max_nodes: int):
@@ -31,3 +31,19 @@ def cover_walk_interval(t0, t1):
                 members.add(nxt)
                 stack.append(nxt)
     return members
+
+
+def deep_trees(n: int = 5000):
+    """Trees far deeper than the interpreter's recursion limit:
+    ``(left_comb, right_comb, below)`` with ``n`` nodes each, where
+    ``below`` is the right comb with its deepest node moved to the left
+    of its parent, so the right comb is ``below``'s one cover (a right
+    rotation at rank ``n``)."""
+    left_comb = right_comb = LEAF
+    for _ in range(n):
+        left_comb = node(left_comb, LEAF)
+        right_comb = node(LEAF, right_comb)
+    below = node(node(), LEAF)
+    for _ in range(n - 2):
+        below = node(LEAF, below)
+    return left_comb, right_comb, below

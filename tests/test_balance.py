@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import small_trees
+from conftest import deep_trees, small_trees
 from tamari_balance.balance import (
     RotationKind,
     balanced_trees,
@@ -139,8 +139,25 @@ def test_height_word_figure_values():
     assert height_word(t, 1) == (2, 2, 1)
     assert height_word(t, 2) == (0, 0, 2, 1)
     assert height_word(t, 6) == (0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^rank 9 out of range 1\.\.8$"):
         height_word(t, 9)
+
+
+def test_height_words_and_classification_on_deep_combs():
+    left_comb, right_comb, below = deep_trees(5000)
+    assert height_word(left_comb, 1) == (0,) * 5000
+    assert height_word(right_comb, 1) == (4999,)
+    assert height_word(right_comb, 5000) == (0,)
+    assert height_word(below, 4999) == (0, 0)
+    for t, rank in ((below, 5000), (left_comb, 2)):
+        got = classify_rotation(t, rank)
+        assert got.kind is RotationKind.CONSERVATIVE_BALANCING
+        assert (got.before, got.after) == ((0, -1), (1, 0))
+    at_root = classify_rotation(left_comb, 5000)
+    assert at_root.kind is RotationKind.OUTSIDE_TABLE
+    assert (at_root.before, at_root.after) == ((-4998, -4999), (-4997, 0))
+    with pytest.raises(RotationError):
+        classify_rotation(right_comb, 5000)
 
 
 def test_rewrite_step_and_stages():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cover_walk_interval, small_trees
+from conftest import cover_walk_interval, deep_trees, small_trees
 from tamari_balance import cli, families, fixtures, intervals, tamari
 from tamari_balance.balance import balanced_trees
 from tamari_balance.families import closure_check
@@ -67,11 +67,18 @@ def test_left_rotation_errors():
 
 
 def test_rotations_are_inverse_exhaustively():
+    # Trees node(c, c) put one object on both sides of the root; rotating
+    # inside either copy must rebuild the side the walk took.  The seven
+    # with a rotation inside c are among those checked here and in
+    # test_rotation_preserves_ranks_structurally.
+    twin_roots = 0
     for n in range(8):
         for t in all_trees(n):
+            twin_roots += t.node_count > 3 and t.left is t.right
             for rank in rotation_ranks(t):
                 rotated = right_rotation(t, rank)
                 assert left_rotation(rotated, rank) is t
+    assert twin_roots == 7
 
 
 def test_rotation_preserves_ranks_structurally():
@@ -174,12 +181,21 @@ def test_bracket_vector_is_the_infix_right_sizes():
 
 
 def test_order_queries_on_a_deep_comb():
-    comb = LEAF
-    for _ in range(5000):
-        comb = node(LEAF, comb)
-    assert bracket_vector(comb) == tuple(range(4999, -1, -1))
-    assert tamari_leq(comb, comb)
-    assert interval(comb, comb) == (comb,)
+    left_comb, right_comb, below = deep_trees(5000)
+    assert bracket_vector(right_comb) == tuple(range(4999, -1, -1))
+    assert tamari_leq(right_comb, right_comb)
+    assert interval(right_comb, right_comb) == (right_comb,)
+    assert tamari_leq(below, right_comb)
+    assert covers(below) == (right_comb,)
+    assert interval(below, right_comb) == (below, right_comb)
+    assert right_rotation(below, 5000) is right_comb
+    assert left_rotation(right_comb, 5000) is below
+    assert left_rotation(right_rotation(left_comb, 2), 2) is left_comb
+    assert right_rotation(left_rotation(right_comb, 2), 2) is right_comb
+    with pytest.raises(RotationError):
+        right_rotation(left_comb, 1)
+    with pytest.raises(RotationError):
+        left_rotation(below, 4999)
 
 
 def test_interval_of_extremes_is_everything():

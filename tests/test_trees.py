@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tamari_balance
-from conftest import small_trees, tiny_trees
+from conftest import deep_trees, small_trees, tiny_trees
 from tamari_balance.balance import balanced_trees, balanced_trees_of_height
 from tamari_balance.families import (
     ImbalanceSet,
@@ -268,6 +269,42 @@ def test_sorted_by_text_on_a_deep_comb():
         comb = node(LEAF, comb)
     trees = [comb, comb.right.right, node(comb, LEAF), LEAF, comb]
     assert sorted_by_text(trees) == sorted(trees, key=serialize)
+
+
+def test_rank_walks_and_mirror_on_deep_combs():
+    left_comb, right_comb, below = deep_trees(5000)
+    assert subtree_at(left_comb, 1) is node()
+    assert subtree_at(left_comb, 5000) is left_comb
+    assert subtree_at(below, 5000) is node(node(), LEAF)
+    assert subtree_at(right_comb, 4999) is parse("(.(..))")
+    assert subtree_at(below, 4999) is node()
+    assert child_ranks(left_comb, 2) == (1, None)
+    assert child_ranks(right_comb, 2) == (None, 3)
+    assert child_ranks(below, 4998) == (None, 5000)
+    assert child_ranks(below, 5000) == (4999, None)
+    with pytest.raises(ValueError, match=r"rank 5001 out of range 1\.\.5000"):
+        subtree_at(below, 5001)
+    assert mirror(left_comb) is right_comb
+    assert mirror(right_comb) is left_comb
+    assert mirror(mirror(below)) is below
+
+
+def test_no_walk_recurses_by_height():
+    # all_trees recurses by size, which limits.ALL_TREES caps; every other
+    # function of these modules loops, so any depth is in reach.
+    for module in (tamari_balance.trees, tamari_balance.tamari, tamari_balance.balance):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "all_trees":
+                continue
+            # A plain call by name, or a method's call through ``self``.
+            called = {
+                ast.unparse(c.func) for c in ast.walk(fn) if isinstance(c, ast.Call)
+            }
+            assert not {fn.name, f"self.{fn.name}"} & called, fn.name
+    for rotation in (right_rotation, left_rotation):
+        body = ast.parse(inspect.getsource(rotation)).body[0]
+        nested = [d for d in ast.walk(body) if isinstance(d, ast.FunctionDef)]
+        assert nested == [body]
 
 
 def test_sorted_by_text_on_mixed_sizes_and_repeats():
