@@ -29,6 +29,7 @@ from .tamari import RotationError
 from .trees import (
     LEAF,
     BinaryTree,
+    _Path,
     _path_to,
     iter_subtrees,
     nodes_over,
@@ -149,7 +150,8 @@ def _right_flank(t: BinaryTree, rank: int) -> list[BinaryTree]:
     """Right subtree of the node at ``rank``, then the right subtrees of
     its larger-rank ancestors, bottom to top: those the walk to ``rank``
     left by their left child."""
-    path, sub = _path_to(t, rank)
+    path: _Path = []
+    sub = _path_to(t, rank, path)
     return [sub.right, *(a.right for a, went_left in reversed(path) if went_left)]
 
 

@@ -18,22 +18,23 @@ Four subcommands:
     Export a Hasse diagram (whole rotation order, balanced subposet, or
     a single interval) in DOT format.
 
-Every command accepts ``--json`` for scripting.  Exit codes: 0 for
-success or PASS, 1 for a mismatch or FAIL, 2 for usage errors.  A FAIL
-is a closure counterexample, a reference mismatch, or a
-:class:`CrossCheckError`: two counting routes that disagree, or a
-balanced interval that is not a hypercube.  Any other exception is a
-bug and escapes as a traceback.
+Every command accepts ``--json`` for scripting; the payload is indented
+by two spaces, byte for byte what ``json.dumps(payload, indent=2)``
+prints.  Exit codes: 0 for success or PASS, 1 for a mismatch or FAIL, 2
+for usage errors.  A FAIL is a closure counterexample, a reference
+mismatch, or a :class:`CrossCheckError`: two counting routes that
+disagree, or a balanced interval that is not a hypercube.  Any other
+exception is a bug and escapes as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import locale  # noqa: F401  argparse's gettext needs it; load it here, not in main
 import re
 import sys
 from collections.abc import Callable, Sequence
+from json.encoder import encode_basestring_ascii
 
 from . import fixtures, limits
 from ._record import frozen
@@ -69,6 +70,48 @@ from .trees import LEAF, TreeParseError, node, parse, serialize
 
 class UsageError(ValueError):
     """Bad command-line input (unknown id, bound exceeded, parse error)."""
+
+
+def _json_text(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for the values the
+    CLI prints: dicts with string keys, lists, strings, ints, booleans
+    and ``None``, of exactly those types; anything else raises
+    :class:`TypeError`.  ``pad`` is the indent of the line the value
+    starts on.
+
+    ``json`` has no C encoder for ``indent``; here strings go through its
+    C escaper and each container is joined once.
+    """
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        # The escaper raises TypeError for a key that is not a string.
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+            for key, item in value.items()
+        ]
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        items = [_json_text(item, inner) for item in value]
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +284,7 @@ def run_enum(family: str, max_n: int | None = None, n: int | None = None) -> Seq
 def cmd_enum(args: argparse.Namespace) -> int:
     report = run_enum(args.family, max_n=args.max_n, n=args.n)
     if args.json:
-        print(json.dumps({"command": "enum", **report.payload()}, indent=2))
+        print(_json_text({"command": "enum", **report.payload()}))
     else:
         print("\n".join(report.lines()))
     return 0 if report.ok else 1
@@ -299,7 +342,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     if args.json:
         terms = poly.sorted_terms()
         print(
-            json.dumps(
+            _json_text(
                 {
                     "command": "series",
                     "grammar": source,
@@ -310,8 +353,7 @@ def cmd_series(args: argparse.Namespace) -> int:
                         {"coefficient": coeff, "monomial": dict(mono.pairs)}
                         for mono, coeff in terms
                     ],
-                },
-                indent=2,
+                }
             )
         )
     else:
@@ -363,7 +405,7 @@ def _report(
         "verdict": verdict,
     }
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print("\n".join(lines))
     return 0 if verdict == "PASS" else 1
@@ -493,15 +535,14 @@ def _hasse_graph(args: argparse.Namespace) -> tuple[str, int, int]:
 def cmd_hasse(args: argparse.Namespace) -> int:
     dot, nodes, edges = _hasse_graph(args)
     if args.json:
-        rendered = json.dumps(
+        rendered = _json_text(
             {
                 "command": "hasse",
                 "target": args.target,
                 "nodes": nodes,
                 "edges": edges,
                 "dot": dot,
-            },
-            indent=2,
+            }
         )
     else:
         rendered = dot
@@ -522,21 +563,8 @@ def cmd_hasse(args: argparse.Namespace) -> int:
 # Parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tamari-balance",
-        description="Balanced binary trees in the rotation order: "
-        "sequence regression, grammar series, structural checks, "
-        "and Hasse diagram export.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    enum_families = (*sorted(_FAMILIES), "narayana")
-    p_enum = sub.add_parser(
-        "enum",
-        help="recompute a counting sequence against the embedded references",
-        description="Families: " + ", ".join(enum_families),
-    )
+def _enum_arguments(p_enum: argparse.ArgumentParser) -> None:
+    p_enum.description = "Families: " + ", ".join((*sorted(_FAMILIES), "narayana"))
     p_enum.add_argument("family", help="family id, e.g. balanced")
     p_enum.add_argument(
         "--max-n",
@@ -550,11 +578,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--json", action="store_true", help="emit JSON")
     p_enum.set_defaults(handler=cmd_enum)
 
-    p_series = sub.add_parser(
-        "series",
-        help="render a grammar's truncated generating series",
-        description="Builtin grammars: " + ", ".join(builtin_names()),
-    )
+
+def _series_arguments(p_series: argparse.ArgumentParser) -> None:
+    p_series.description = "Builtin grammars: " + ", ".join(builtin_names())
     source = p_series.add_mutually_exclusive_group(required=True)
     source.add_argument("--builtin", help="builtin grammar id")
     source.add_argument("--file", help="grammar file path")
@@ -572,11 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--json", action="store_true", help="emit JSON")
     p_series.set_defaults(handler=cmd_series)
 
-    p_check = sub.add_parser(
-        "check",
-        help="run a structural sweep and report PASS or FAIL",
-        description="Properties: " + ", ".join(_CHECK_PROPERTIES),
-    )
+
+def _check_arguments(p_check: argparse.ArgumentParser) -> None:
+    p_check.description = "Properties: " + ", ".join(_CHECK_PROPERTIES)
     p_check.add_argument("property", help="property id, e.g. closure-balanced")
     p_check.add_argument(
         "--max-n",
@@ -593,10 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--json", action="store_true", help="emit JSON")
     p_check.set_defaults(handler=cmd_check)
 
-    p_hasse = sub.add_parser(
-        "hasse", help="export a Hasse diagram in DOT format"
+
+def _hasse_arguments(p_hasse: argparse.ArgumentParser) -> None:
+    hasse_sub = p_hasse.add_subparsers(
+        dest="target", required=True, prog=p_hasse.prog
     )
-    hasse_sub = p_hasse.add_subparsers(dest="target", required=True)
     p_tamari = hasse_sub.add_parser("tamari", help="whole rotation order on n nodes")
     p_tamari.add_argument(
         "n", type=int, help=f"node count, at most {limits.HASSE_TAMARI.bound}"
@@ -619,11 +644,42 @@ def build_parser() -> argparse.ArgumentParser:
         p_target.add_argument("--json", action="store_true", help="emit JSON")
         p_target.set_defaults(handler=cmd_hasse)
 
+
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "enum": (
+        "recompute a counting sequence against the embedded references",
+        _enum_arguments,
+    ),
+    "series": ("render a grammar's truncated generating series", _series_arguments),
+    "check": ("run a structural sweep and report PASS or FAIL", _check_arguments),
+    "hasse": ("export a Hasse diagram in DOT format", _hasse_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  It lists every command but fills in the
+    arguments of ``command`` alone when that names one, and of all of them
+    otherwise, so a call pays for the one command it runs.  The help,
+    usage and errors of a command filled in read the same either way.
+    """
+    parser = argparse.ArgumentParser(
+        prog="tamari-balance",
+        description="Balanced binary trees in the rotation order: "
+        "sequence regression, grammar series, structural checks, "
+        "and Hasse diagram export.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, prog=parser.prog)
+    fill_all = command not in _COMMANDS
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        p_command = sub.add_parser(name, help=help_text)
+        if fill_all or name == command:
+            add_arguments(p_command)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
@@ -636,12 +692,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 route: value if isinstance(value, int) else str(value)
                 for route, value in zip(exc.routes, exc.values)
             }
-            print(
-                json.dumps(
-                    {"verdict": "FAIL", "error": str(exc), "routes": routes},
-                    indent=2,
-                )
-            )
+            print(_json_text({"verdict": "FAIL", "error": str(exc), "routes": routes}))
         else:
             print(f"FAIL: {exc}", file=sys.stderr)
         return 1

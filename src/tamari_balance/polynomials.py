@@ -310,14 +310,18 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in graded-lex order (counting degree, then total degree,
         then variable-exponent pairs)."""
-        return sorted(
-            self._terms.items(),
-            key=lambda item: (
-                self.counting_degree(item[0]),
-                item[0].degree(),
-                item[0].pairs,
-            ),
-        )
+        markers = self.markers
+
+        def key(item: tuple[Monomial, int]) -> tuple:
+            pairs = item[0].pairs
+            counting = total = 0
+            for var, exp in pairs:
+                total += exp
+                if var not in markers:
+                    counting += exp
+            return counting, total, pairs
+
+        return sorted(self._terms.items(), key=key)
 
     def __str__(self) -> str:
         return _format_terms(self.sorted_terms())

@@ -30,6 +30,7 @@ from . import limits
 from .trees import (
     LEAF,
     BinaryTree,
+    _Path,
     _graft,
     _path_to,
     all_trees,
@@ -54,7 +55,8 @@ def right_rotation(t: BinaryTree, rank: int) -> BinaryTree:
     The node's left subtree must be nonempty; ranks of all nodes are
     preserved, and the node at ``rank`` ends up rooting ``B ^ C``.
     """
-    path, y = _path_to(t, rank)
+    path: _Path = []
+    y = _path_to(t, rank, path)
     x = y.left
     if not x.node_count:
         raise RotationError(f"right rotation needs a left subtree at rank {rank}")
@@ -68,7 +70,8 @@ def left_rotation(t: BinaryTree, rank: int) -> BinaryTree:
     The node must be the right child of its parent; the parent's subtree
     ``A ^ (B ^ C)`` becomes ``(A ^ B) ^ C``.
     """
-    path, y = _path_to(t, rank)
+    path: _Path = []
+    y = _path_to(t, rank, path)
     if not path or path[-1][1]:
         raise RotationError(
             f"left rotation needs the node at rank {rank} to be a right child"

@@ -5,9 +5,9 @@ node with two subtrees, drawn ``(<left><right>)``.  Internal nodes are
 numbered 1..n by infix order (left subtree, node, right subtree); all
 node-addressed operations take these 1-based ranks.  One walk,
 :func:`_path_to`, goes from the root to a rank, and every function that
-finds a node by its rank reads it; the rotations rebuild its path
-bottom-up with :func:`_graft`.  Rotations and :func:`mirror` work at any
-depth: no function here recurses by height.
+finds a node by its rank reads it; the rotations have it record the
+path and rebuild that bottom-up with :func:`_graft`.  Rotations and
+:func:`mirror` work at any depth: no function here recurses by height.
 
 Heights count internal nodes on a longest root-to-leaf path: the empty
 tree has height 0 and a single node has height 1.  The imbalance of a
@@ -272,33 +272,33 @@ def leaf_count(t: BinaryTree) -> int:
 _Path = list[tuple[BinaryTree, bool]]
 
 
-def _path_to(t: BinaryTree, rank: int) -> tuple[_Path, BinaryTree]:
-    """The walk from the root of ``t`` to the node at infix ``rank``:
-    ``(path, sub)``, with ``sub`` the subtree at ``rank`` and ``path`` its
-    ancestors from the root down, each with whether the walk went left
-    there.  Identity cannot tell the side: trees are hash-consed, so a
-    node with two equal children has ``left is right``.
+def _path_to(t: BinaryTree, rank: int, path: _Path | None = None) -> BinaryTree:
+    """The subtree of ``t`` at infix ``rank``: the walk from the root to
+    it.  Given a list as ``path``, the walk also appends the subtree's
+    ancestors to it, from the root down, each with whether the walk went
+    left there.  Identity cannot tell the side: trees are hash-consed, so
+    a node with two equal children has ``left is right``.
     """
     if not 1 <= rank <= t.node_count:
         raise ValueError(f"rank {rank} out of range 1..{t.node_count}")
-    path: _Path = []
     cur = t
     while True:
         root_rank = cur.left.node_count + 1
         if rank == root_rank:
-            return path, cur
-        if rank < root_rank:
-            path.append((cur, True))
+            return cur
+        went_left = rank < root_rank
+        if path is not None:
+            path.append((cur, went_left))
+        if went_left:
             cur = cur.left
         else:
-            path.append((cur, False))
             rank -= root_rank
             cur = cur.right
 
 
 def _graft(path: _Path, sub: BinaryTree) -> BinaryTree:
     """The tree ``path`` leads down from, with ``sub`` put where the path
-    ends; ``path`` is as :func:`_path_to` returns it.  Rebuilt bottom-up,
+    ends; ``path`` is as :func:`_path_to` fills it.  Rebuilt bottom-up,
     one :func:`node` per ancestor."""
     for parent, went_left in reversed(path):
         sub = node(sub, parent.right) if went_left else node(parent.left, sub)
@@ -307,7 +307,7 @@ def _graft(path: _Path, sub: BinaryTree) -> BinaryTree:
 
 def subtree_at(t: BinaryTree, rank: int) -> BinaryTree:
     """Subtree rooted at the node with the given infix rank (1-based)."""
-    return _path_to(t, rank)[1]
+    return _path_to(t, rank)
 
 
 def child_ranks(t: BinaryTree, rank: int) -> tuple[int | None, int | None]:

@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, formats, and exit codes."""
 
+import argparse
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tamari_balance import cli, fixtures, grammars, intervals, limits
 from tamari_balance._record import replace
@@ -26,7 +29,45 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv, "--json")
     assert err == ""
-    return code, json.loads(out)
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    return code, payload
+
+
+# Strings with quotes, backslashes, control characters and non-ASCII text.
+json_strings = st.text(
+    st.sampled_from(
+        ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀"]
+    )
+    | st.characters()
+)
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | json_strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    @given(json_values)
+    def test_matches_json_dumps_with_indent_two(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_empty_containers_and_nesting(self):
+        value = {"a": [], "b": {}, "c": [[], {}, [1, [True, None]]], "": "x"}
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, {1, 2}, (1, 2), {"a": [0.5]}, [{"b": {3}}], {1: 2}]
+    )
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
 
 
 class TestSequenceReport:
@@ -695,11 +736,58 @@ class TestHasse:
         assert "capped" in err
 
 
+def _exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+_HELP = [
+    ["--help"],
+    *([name, "--help"] for name in ("enum", "series", "check", "hasse")),
+    *(["hasse", target, "--help"] for target in ("tamari", "balanced", "interval")),
+]
+_USAGE_ERRORS = [
+    [],
+    ["bogus"],
+    ["check", "closure-balanced", "--jobs", "2"],
+    ["series", "--builtin", "bal"],
+    ["series", "--builtin", "bal", "--degree", "x"],
+    ["--json", "series", "--builtin", "bal", "--degree", "3"],
+]
+
+
 class TestUsage:
     def test_missing_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv", _HELP + _USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "none"
+    )
+    def test_reads_as_the_parser_with_every_command(self, capsys, argv):
+        want = _exit(capsys, cli.build_parser().parse_args, argv)
+        assert want[0] == (0 if argv in _HELP else 2)
+        assert _exit(capsys, main, argv) == want
+
+    def test_a_command_fills_in_only_its_own_arguments(self, capsys, monkeypatch):
+        added = []
+        real = argparse._ActionsContainer.add_argument
+
+        def recording(container, *names, **kwargs):
+            added.append(names[0])
+            return real(container, *names, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", recording)
+        assert main(["series", "--builtin", "bal", "--degree", "2"]) == 0
+        own = ["--builtin", "--file", "--degree", "--set", "--json"]
+        # One -h for the top-level parser and one for each command's.
+        assert sorted(added) == sorted(["-h"] * 5 + own)
+        added.clear()
+        cli.build_parser()
+        assert {"family", "property", "lower", "--out"} <= set(added)
 
     def test_console_entry_matches_module(self, capsys):
         import subprocess

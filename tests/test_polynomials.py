@@ -201,6 +201,20 @@ def from_sympy(sp, expr, markers=()):
 marker_sets = st.sampled_from(["", "z", "yz"])
 
 
+@given(st.dictionaries(monomials, st.integers(-3, 3), max_size=8), marker_sets)
+def test_sorted_terms_orders_by_counting_then_total_degree(terms, markers):
+    p = Polynomial(terms, markers)
+    want = sorted(
+        p.items(),
+        key=lambda item: (
+            item[0].degree(exclude=frozenset(markers)),
+            item[0].degree(),
+            item[0].pairs,
+        ),
+    )
+    assert p.sorted_terms() == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(polynomials, polynomials)
 def test_sum_and_product_match_sympy(sp, p, q):
