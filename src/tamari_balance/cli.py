@@ -607,12 +607,13 @@ def _check_arguments(p_check: argparse.ArgumentParser) -> None:
         type=int,
         default=limits.CHECK_SWEEP.bound,
         help=f"largest size to sweep, by default {limits.CHECK_SWEEP.bound}; "
-        f"at most {limits.CHECK_SWEEP.bound} for the closure properties, "
-        "where closure-vbalanced --v=.. takes about 5 s, and "
-        f"{limits.CHECK_HYPERCUBE.bound} for hypercube, about 7 s",
+        f"at most {limits.CHECK_SWEEP.bound} for the closure properties and "
+        f"{limits.CHECK_HYPERCUBE.bound} for hypercube",
     )
     p_check.add_argument(
-        "--v", help="imbalance set for closure-vbalanced, e.g. -2..0 or 0,1"
+        "--v",
+        help="imbalance set for closure-vbalanced, given after '=' since it "
+        "may start with '-': --v=-2..0 or --v=0,1",
     )
     p_check.add_argument("--json", action="store_true", help="emit JSON")
     p_check.set_defaults(handler=cmd_check)

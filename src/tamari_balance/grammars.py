@@ -42,7 +42,8 @@ others are written out rule by rule.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from functools import cache
 from itertools import product
 from operator import attrgetter
 
@@ -606,11 +607,9 @@ def _node(label, *children, marked=False) -> BudNode:
     return BudNode(label, tuple(children), marked)
 
 
-def _builtins() -> dict[str, SynchronousGrammar]:
-    x, y, z, u, v = Bud("x"), Bud("y"), Bud("z"), Bud("u"), Bud("v")
-    table: dict[str, SynchronousGrammar] = {}
-
-    table["epl"] = SynchronousGrammar(
+def _epl() -> SynchronousGrammar:
+    x, y = Bud("x"), Bud("y")
+    return SynchronousGrammar(
         buds=("x", "y"),
         axiom="x",
         rules=(
@@ -620,13 +619,21 @@ def _builtins() -> dict[str, SynchronousGrammar]:
         ),
         name="epl",
     )
-    table["perf"] = SynchronousGrammar(
+
+
+def _perf() -> SynchronousGrammar:
+    x = Bud("x")
+    return SynchronousGrammar(
         buds=("x",),
         axiom="x",
         rules=(Rule("x", _node(None, x, x)),),
         name="perf",
     )
-    table["bal23"] = SynchronousGrammar(
+
+
+def _bal23() -> SynchronousGrammar:
+    x = Bud("x")
+    return SynchronousGrammar(
         buds=("x",),
         axiom="x",
         rules=(
@@ -635,8 +642,11 @@ def _builtins() -> dict[str, SynchronousGrammar]:
         ),
         name="bal23",
     )
-    table["bal"] = replace(imbalance_grammar({-1, 0, 1}), name="bal")
-    table["max"] = SynchronousGrammar(
+
+
+def _max() -> SynchronousGrammar:
+    x, y, z = Bud("x"), Bud("y"), Bud("z")
+    return SynchronousGrammar(
         buds=("x", "y", "z"),
         axiom="x",
         rules=(
@@ -648,7 +658,11 @@ def _builtins() -> dict[str, SynchronousGrammar]:
         ),
         name="max",
     )
-    table["bi"] = SynchronousGrammar(
+
+
+def _bi() -> SynchronousGrammar:
+    x, y, z = Bud("x"), Bud("y"), Bud("z")
+    return SynchronousGrammar(
         buds=("x", "y", "z"),
         axiom="x",
         rules=(
@@ -662,7 +676,11 @@ def _builtins() -> dict[str, SynchronousGrammar]:
         ),
         name="bi",
     )
-    mbi_rules = (
+
+
+def _mbi_rules() -> tuple[Rule, ...]:
+    x, y, z, u, v = Bud("x"), Bud("y"), Bud("z"), Bud("u"), Bud("v")
+    return (
         Rule("x", _node(-1, v, y)),
         Rule("x", _node(0, x, x)),
         Rule("x", _node(1, y, u)),
@@ -675,57 +693,65 @@ def _builtins() -> dict[str, SynchronousGrammar]:
         Rule("v", _node(1, y, u)),
         Rule("v", _node(-1, z, y, marked=True)),
     )
-    table["mbi"] = SynchronousGrammar(
+
+
+def _mbi() -> SynchronousGrammar:
+    return SynchronousGrammar(
         buds=("x", "y", "z", "u", "v"),
         axiom="x",
-        rules=mbi_rules,
+        rules=_mbi_rules(),
         merges=(("u", "t"), ("v", "t")),
         name="mbi",
     )
-    table["mbi_xi"] = SynchronousGrammar(
+
+
+def _mbi_xi() -> SynchronousGrammar:
+    return SynchronousGrammar(
         buds=("x", "y", "z", "u", "v"),
         axiom="x",
         rules=tuple(
             Rule(r.bud, r.tree, "xi" if _is_marked_root(r.tree) else None)
-            for r in mbi_rules
+            for r in _mbi_rules()
         ),
         markers=("xi",),
         merges=(("u", "t"), ("v", "t")),
         name="mbi_xi",
     )
-    table["bal01"] = replace(imbalance_grammar({0, 1}), name="bal01")
-    return table
 
 
 def _is_marked_root(tree: BudTree) -> bool:
     return isinstance(tree, BudNode) and tree.marked
 
 
-_BUILTIN_TABLE: dict[str, SynchronousGrammar] | None = None
+_BUILDERS: dict[str, Callable[[], SynchronousGrammar]] = {
+    "epl": _epl,
+    "perf": _perf,
+    "bal23": _bal23,
+    "bal": lambda: replace(imbalance_grammar({-1, 0, 1}), name="bal"),
+    "max": _max,
+    "bi": _bi,
+    "mbi": _mbi,
+    "mbi_xi": _mbi_xi,
+    "bal01": lambda: replace(imbalance_grammar({0, 1}), name="bal01"),
+}
 
 
 def builtin_names() -> tuple[str, ...]:
-    return tuple(sorted(_builtin_table()))
+    return tuple(sorted(_BUILDERS))
 
 
-def _builtin_table() -> dict[str, SynchronousGrammar]:
-    global _BUILTIN_TABLE
-    if _BUILTIN_TABLE is None:
-        _BUILTIN_TABLE = _builtins()
-    return _BUILTIN_TABLE
-
-
+@cache
 def builtin_grammar(name: str) -> SynchronousGrammar:
-    """Look up a packaged grammar by id.
+    """Look up a packaged grammar by id, building it on first use.
 
     Available ids: epl, perf, bal23, bal, max, bi, mbi, mbi_xi, bal01.
     """
-    table = _builtin_table()
-    if name not in table:
+    build = _BUILDERS.get(name)
+    if build is None:
         raise GrammarError(
-            f"unknown builtin {name!r}; choose from {', '.join(sorted(table))}"
+            f"unknown builtin {name!r}; choose from {', '.join(builtin_names())}"
         )
-    return table[name]
+    return build()
 
 
 _LABEL_RE = re.compile(r"-?\d+\*?$")

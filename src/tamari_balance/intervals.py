@@ -3,8 +3,11 @@
 Every interval between comparable balanced trees is a Boolean lattice:
 the lower endpoint carries a set of conservative rotation roots, the
 rotations at those roots commute, and applying an arbitrary subset gives
-the elements of the interval.  This module computes the root sets,
-verifies the hypercube isomorphism explicitly, counts balanced and
+the elements of the interval.  This module reads the root set off the
+lower endpoint's moves: the roots are the rotations that raise a bracket
+vector entry straight to the upper endpoint's value.  It verifies the
+hypercube isomorphism explicitly, each subset's image against the
+bracket vector that mixes the endpoints' entries, counts balanced and
 maximal balanced intervals along two independent routes (brute force
 over the balanced trees, and the counting series of the ``bi``, ``mbi``
 and ``mbi_xi`` grammars from :func:`.grammars.counting_series`), and
@@ -19,7 +22,7 @@ series-backed family of the CLI's ``enum`` read their counts through it.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from operator import le
+from operator import le, ne
 
 from . import limits
 from ._record import frozen
@@ -39,7 +42,7 @@ from .tamari import (
     right_rotation,
     rotation_ranks,
 )
-from .trees import BinaryTree, child_ranks, serialize, sorted_by_text
+from .trees import BinaryTree, serialize, sorted_by_text
 
 
 class CrossCheckError(AssertionError):
@@ -84,67 +87,65 @@ class RotationRootSet:
 
 # The private helpers below take the endpoints' bracket vectors
 # ``lower`` and ``upper`` along with the endpoints, so a sweep over many
-# pairs computes each tree's vector once.
+# pairs computes each tree's vector once.  They trust that both
+# endpoints are balanced and comparable; the public doors check it.
 
 
 def _require_balanced_pair(
-    t0: BinaryTree, t1: BinaryTree, lower: tuple[int, ...], upper: tuple[int, ...]
-) -> None:
+    t0: BinaryTree, t1: BinaryTree
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The endpoints' bracket vectors, once both are known balanced and
+    comparable."""
     if not is_balanced(t0) or not is_balanced(t1):
         raise ValueError("both interval endpoints must be balanced")
+    lower, upper = bracket_vector(t0), bracket_vector(t1)
     if len(lower) != len(upper):
         raise _size_mismatch(len(lower), len(upper))
     if not all(map(le, lower, upper)):
         raise IncomparableError(
             f"{serialize(t0)} is not below {serialize(t1)}"
         )
+    return lower, upper
 
 
 def rotation_root_set(t0: BinaryTree, t1: BinaryTree) -> RotationRootSet:
     """Roots of the conservative rotations transforming ``t0`` into ``t1``.
 
-    Greedy: repeatedly apply any conservative balancing rotation that
-    stays below ``t1``; a rotation stays below exactly when the one
-    vector entry it raises stays at or below ``t1``'s.  The root set is
-    order-independent; a replay in the opposite order is checked.
-    Endpoints must be balanced and comparable.
+    Read off ``t0``'s moves in one pass: a right rotation raises one
+    bracket vector entry, and each entry has at most one rotation that
+    raises it, so the roots are the rotations of ``t0`` that raise an
+    entry straight to ``t1``'s value.  They must cover every entry where
+    the endpoints differ, be conservative balancing, include no left
+    child of another root, and, applied, reach ``t1``.  Endpoints must
+    be balanced and comparable.
     """
-    return _root_set(t0, t1, bracket_vector(t0), bracket_vector(t1))
+    return _root_set(t0, t1, *_require_balanced_pair(t0, t1))
 
 
 def _root_set(
     t0: BinaryTree, t1: BinaryTree, lower: tuple[int, ...], upper: tuple[int, ...]
 ) -> RotationRootSet:
     """:func:`rotation_root_set`, given the endpoints' bracket vectors."""
-    _require_balanced_pair(t0, t1, lower, upper)
-    ranks: list[int] = []
-    cur = t0
-    while cur != t1:
-        for rank, i, value in _vector_moves(cur):
-            if (
-                value <= upper[i]
-                and classify_rotation(cur, rank).kind
-                is RotationKind.CONSERVATIVE_BALANCING
-            ):
-                ranks.append(rank)
-                cur = right_rotation(cur, rank)
-                break
-        else:
-            raise AssertionError(
-                "no conservative rotation advances toward the upper endpoint"
-            )
-    if len(set(ranks)) != len(ranks):
-        raise AssertionError("a root repeated")
-    result = RotationRootSet(t0, frozenset(ranks))
-    replay = t0
-    for rank in sorted(ranks, reverse=True):
-        replay = right_rotation(replay, rank)
-    if replay != t1:
-        raise AssertionError("root set is order-dependent")
-    for rank in result.ranks:
-        if child_ranks(t0, rank)[0] in result.ranks:
+    # A rotation raises its entry strictly, so a root's entry differs.
+    roots = [(rank, i) for rank, i, value in _vector_moves(t0) if value == upper[i]]
+    if len(roots) != sum(map(ne, lower, upper)):
+        raise AssertionError(
+            "no conservative rotation advances toward the upper endpoint"
+        )
+    ranks = frozenset(rank for rank, _ in roots)
+    for rank, i in roots:
+        if classify_rotation(t0, rank).kind is not RotationKind.CONSERVATIVE_BALANCING:
+            raise AssertionError(f"the root at rank {rank} is not conservative")
+        # The left child of the node at ``rank`` is the node of entry i,
+        # at rank i + 1.
+        if i + 1 in ranks:
             raise AssertionError("left child of a root cannot be a root")
-    return result
+    reached = t0
+    for rank, _ in roots:
+        reached = right_rotation(reached, rank)
+    if reached != t1:
+        raise AssertionError("the root rotations miss the upper endpoint")
+    return RotationRootSet(t0, ranks)
 
 
 def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
@@ -152,27 +153,29 @@ def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
 
     Builds the image of every subset of the rotation root set, rotating
     in ascending and in descending rank order, and checks that the two
-    orders agree, that the images are distinct, and that they are the
-    interval that the cover walk finds.  Subset inclusion coincides with
-    the rotation order when each root raises one vector entry from
-    ``t0``'s to ``t1``'s, the roots raise every entry where the endpoints
-    differ, and each image's vector mixes the endpoints on its subset's
-    entries (Huang and Tamari, 1972).
+    orders agree, that each image's bracket vector is ``t0``'s with
+    ``t1``'s entries at its subset's roots, and that the images are the
+    interval that the cover walk finds.  Those vectors are distinct, so
+    the images are, and subset inclusion is the rotation order among
+    them (Huang and Tamari, 1972).  Endpoints must be balanced and
+    comparable.
     """
-    return _verify_cube(t0, t1, bracket_vector(t0), bracket_vector(t1))
+    return _verify_cube(t0, t1, *_require_balanced_pair(t0, t1))
 
 
 def _verify_cube(
     t0: BinaryTree, t1: BinaryTree, lower: tuple[int, ...], upper: tuple[int, ...]
 ) -> tuple[int, bool]:
     """:func:`verify_hypercube`, given the endpoints' bracket vectors."""
-    roots = _root_set(t0, t1, lower, upper)
-    ranks = sorted(roots.ranks)
+    ranks = sorted(_root_set(t0, t1, lower, upper).ranks)
+    entry = {rank: i for rank, i, _ in _vector_moves(t0)}
     k = len(ranks)
     # The image of S rotated in ascending and in descending rank order:
     # each rotates the image of S without its last root in that order.
+    # The image's expected vector takes the upper entry at that root.
     images = [t0] * (1 << k)
     descending = [t0] * (1 << k)
+    expected = [lower] * (1 << k)
     for subset in range(1, 1 << k):
         top = subset.bit_length() - 1
         bottom = (subset & -subset).bit_length() - 1
@@ -182,34 +185,14 @@ def _verify_cube(
         )
         if images[subset] is not descending[subset]:
             raise AssertionError("root rotations failed to commute")
-    if len(set(images)) != 1 << k:
+        i = entry[ranks[top]]
+        below = expected[subset ^ (1 << top)]
+        expected[subset] = below[:i] + (upper[i],) + below[i + 1 :]
+    if list(map(bracket_vector, images)) != expected:
         return k, False
     if set(images) != set(_members_between(t0, lower, upper).values()):
         return k, False
-    vectors = [bracket_vector(image) for image in images]
-    # Each root raises one entry, from the lower endpoint's to the upper's.
-    entries = []
-    for j in range(k):
-        changed = _differing_entries(lower, vectors[1 << j])
-        if len(changed) != 1 or vectors[1 << j][changed[0]] != upper[changed[0]]:
-            return k, False
-        entries += changed
-    if sorted(entries) != _differing_entries(lower, upper):
-        return k, False
-    # The image of S takes the upper endpoint's entries at S's roots.
-    for subset, vector in enumerate(vectors):
-        mixed = list(lower)
-        for j in range(k):
-            if subset >> j & 1:
-                mixed[entries[j]] = upper[entries[j]]
-        if vector != tuple(mixed):
-            return k, False
     return k, True
-
-
-def _differing_entries(lower: tuple[int, ...], upper: tuple[int, ...]) -> list[int]:
-    """Indices where two bracket vectors differ, ascending."""
-    return [i for i, (a, b) in enumerate(zip(lower, upper)) if a != b]
 
 
 def _dimension_histogram(
@@ -237,7 +220,7 @@ def _dimension_histogram(
                 ("subset images", "cover walk"),
                 (1 << k, len(_members_between(lower, low, high))),
             )
-        differing = len(_differing_entries(low, high))
+        differing = sum(map(ne, low, high))
         if k != differing:
             raise CrossCheckError(
                 f"cube dimension routes disagree on "

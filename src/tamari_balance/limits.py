@@ -74,12 +74,12 @@ BRUTE_INTERVALS = Limit(
 )
 CHECK_SWEEP = Limit(
     12, "check closure sweep size",
-    "closure-vbalanced --v=.. checks all 208,012 trees at n=12 in 4.8-5.1 s and 152 MB",
+    "closure-vbalanced --v=.. checks all 208,012 trees at n=12 in 2.8-3.1 s and 126 MB",
 )
 CHECK_HYPERCUBE = Limit(
     16, "check hypercube size",
-    "the sweep verifies 26,178 intervals to n=16 in 7.1 s and 21 MB; "
-    "to n=17 it is 43,500 more and 14.8 s",
+    "the sweep to n=16 verifies 50,674 intervals, 26,178 of them at n=16, "
+    "in 3.6-4.5 s and 18 MB; n=17 alone adds 43,500 more and 4.5-5.3 s",
 )
 HASSE_TAMARI = Limit(
     10, "hasse tamari node count",

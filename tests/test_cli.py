@@ -629,6 +629,18 @@ class TestCheck:
         )
         assert code == 2
 
+    def test_help_gives_v_after_equals(self, capsys, monkeypatch):
+        # A wide terminal keeps argparse from wrapping the help at a hyphen.
+        monkeypatch.setenv("COLUMNS", "200")
+        code, out, _ = _exit(capsys, main, ["check", "--help"])
+        assert code == 0
+        assert "--v=-2..0" in out
+        code, out, _ = run(
+            capsys, "check", "closure-vbalanced", "--v=-2..0", "--max-n", "4"
+        )
+        assert code == 0
+        assert out.splitlines()[-1].startswith("PASS")
+
     def test_bad_v_set(self, capsys):
         code, _, err = run(
             capsys, "check", "closure-vbalanced", "--v=1..", "--max-n", "5"

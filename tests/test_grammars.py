@@ -181,6 +181,33 @@ class TestDerivation:
                 level = produced
 
 
+class TestBuiltinTable:
+    def test_each_builtin_is_built_on_first_use(self):
+        script = "\n".join(
+            [
+                "from tamari_balance import grammars",
+                "built = []",
+                "init = grammars.SynchronousGrammar.__init__",
+                "def recording(self, *args, **kwargs):",
+                "    init(self, *args, **kwargs)",
+                "    built.append(self.name)",
+                "grammars.SynchronousGrammar.__init__ = recording",
+                "print(len(grammars.builtin_names()), built)",
+                "perf = grammars.builtin_grammar('perf')",
+                "print(built)",
+                "print(grammars.builtin_grammar('perf') is perf, built)",
+            ]
+        )
+        src = os.path.dirname(os.path.dirname(grammars.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["9 []", "['perf']", "True ['perf']"]
+
+
 class TestCertificates:
     def test_builtins_are_certified(self):
         for name in builtin_names():

@@ -53,6 +53,29 @@ def balanced_comparable_pairs(n, poset):
                 yield lower, upper
 
 
+def greedy_root_set(t0, t1):
+    """The root set by greedy search: apply any conservative balancing
+    rotation whose image stays below ``t1`` until ``t1`` is reached,
+    rereading every move of each new tree."""
+    ranks = []
+    cur = t0
+    while cur != t1:
+        for rank in rotation_ranks(cur):
+            nxt = right_rotation(cur, rank)
+            if (
+                tamari_leq(nxt, t1)
+                and classify_rotation(cur, rank).kind
+                is RotationKind.CONSERVATIVE_BALANCING
+            ):
+                ranks.append(rank)
+                cur = nxt
+                break
+        else:
+            raise AssertionError("the greedy search is stuck")
+    assert len(set(ranks)) == len(ranks)
+    return frozenset(ranks)
+
+
 class TestRotationRootSet:
     def test_identity_interval(self):
         t = parse("((..)(..))")
@@ -72,6 +95,53 @@ class TestRotationRootSet:
     def test_requires_balanced_endpoints(self):
         with pytest.raises(ValueError):
             rotation_root_set(parse("(.(.(..)))"), parse("(.(.(..)))"))
+        with pytest.raises(ValueError):
+            verify_hypercube(parse("(.(.(..)))"), parse("(.(.(..)))"))
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_matches_greedy_search(self, n):
+        trees = balanced_trees(n)
+        for lower, upper in comparable_pairs(trees, trees):
+            assert rotation_root_set(lower, upper).ranks == greedy_root_set(
+                lower, upper
+            )
+
+    def test_non_conservative_root_raises_under_optimize(self):
+        script = "\n".join(
+            [
+                "from tamari_balance import intervals",
+                "from tamari_balance.balance import RotationKind",
+                "from tamari_balance.tamari import right_rotation",
+                "from tamari_balance.trees import parse",
+                "from tamari_balance._record import replace",
+                "real = intervals.classify_rotation",
+                "def simply_unbalancing(t, rank):",
+                "    return replace(",
+                "        real(t, rank), kind=RotationKind.SIMPLY_UNBALANCING",
+                "    )",
+                "intervals.classify_rotation = simply_unbalancing",
+                "t0 = parse('(((..).)(..))')",
+                "t1 = right_rotation(t0, 3)",
+                "for check in (",
+                "    lambda: intervals.rotation_root_set(t0, t1),",
+                "    lambda: intervals.verify_hypercube(t0, t1),",
+                "    lambda: intervals.hypercube_histogram(5),",
+                "):",
+                "    try:",
+                "        check()",
+                "    except AssertionError as exc:",
+                "        print(exc)",
+                "    else:",
+                "        raise SystemExit('no error raised')",
+            ]
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[:2] == ["the root at rank 3 is not conservative"] * 2
+        assert len(lines) == 3 and lines[2].endswith("is not conservative")
 
     def test_requires_comparability(self):
         t0 = parse("((..)(.(..)))")
@@ -163,6 +233,20 @@ class TestVerifyHypercube:
             assert ok
             dimensions[k] = dimensions.get(k, 0) + 1
         assert 3 in dimensions
+
+    def test_sweep_leaves_the_balance_check_to_the_public_doors(
+        self, monkeypatch
+    ):
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return is_balanced(t)
+
+        monkeypatch.setattr(intervals, "is_balanced", counting)
+        histogram = hypercube_histogram(10)
+        assert sum(histogram.values()) == BALANCED_INTERVAL_COUNTS[10]
+        assert calls == []
 
     def test_histogram_consistency(self):
         poset = tamari_poset(8)

@@ -292,7 +292,12 @@ def test_rank_walks_and_mirror_on_deep_combs():
 def test_no_walk_recurses_by_height():
     # all_trees recurses by size, which limits.ALL_TREES caps; every other
     # function of these modules loops, so any depth is in reach.
-    for module in (tamari_balance.trees, tamari_balance.tamari, tamari_balance.balance):
+    for module in (
+        tamari_balance.trees,
+        tamari_balance.tamari,
+        tamari_balance.balance,
+        tamari_balance.intervals,
+    ):
         for fn in ast.walk(ast.parse(inspect.getsource(module))):
             if not isinstance(fn, ast.FunctionDef) or fn.name == "all_trees":
                 continue
