@@ -24,7 +24,7 @@ from collections.abc import Iterator, Sequence
 
 from . import limits
 from ._record import frozen
-from .families import ImbalanceSet, _family, imbalance_family
+from .families import ImbalanceSet, _family, _members, imbalance_family
 from .tamari import RotationError
 from .trees import (
     LEAF,
@@ -79,10 +79,11 @@ def balanced_trees_of_height(h: int) -> tuple[BinaryTree, ...]:
     # The height window is exact: smaller heights cannot reach h, and
     # trees of height h and up also occur below 2**(h - 1) nodes.  Those
     # sizes stay under the family's cap, so its cache is read directly.
+    fits = _members(_BALANCED)
     below = sorted_by_text(
         t
         for a in range(2 ** (h - 1))
-        for t in _family(a, _BALANCED)
+        for t in _family(a, fits)
         if h - 2 <= t.height <= h - 1
     )
     tall = [t for t in below if t.height == h - 1]

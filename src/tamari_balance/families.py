@@ -155,12 +155,26 @@ def imbalance_family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
     if n < 0:
         raise ValueError("node count must be nonnegative")
     limits.IMBALANCE_FAMILY.check(n)
-    return _family(n, allowed)
+    return _family(n, _members(allowed))
+
+
+def _members(allowed: ImbalanceSet) -> frozenset[int]:
+    """The allowed values within ``limits.IMBALANCE_FAMILY``'s bound, which
+    no imbalance of an accepted size passes: the key of :func:`_family`,
+    so two spellings of one set, such as ``-1..1`` and ``-1,0,1``, share
+    one cached family."""
+    bound = limits.IMBALANCE_FAMILY.bound
+    if allowed.values is not None:
+        return frozenset(d for d in allowed.values if -bound <= d <= bound)
+    low = -bound if allowed.lower is None else max(allowed.lower, -bound)
+    high = bound if allowed.upper is None else min(allowed.upper, bound)
+    return frozenset(range(low, high + 1))
 
 
 @lru_cache(maxsize=None)
-def _family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
-    """The family's members of size ``n``, built in tree-string order.
+def _family(n: int, fits: frozenset[int]) -> tuple[BinaryTree, ...]:
+    """The family's members of size ``n``, built in tree-string order,
+    for the allowed imbalances ``fits`` that :func:`_members` gives.
 
     Tree strings are prefix-free, so ``"(" + L + R + ")"`` strings compare
     by ``L`` first, then by ``R``.  The members are ``node(L, R)`` for the
@@ -170,9 +184,6 @@ def _family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
     """
     if n == 0:
         return (LEAF,)
-    # The allowed values among the height differences two subtrees of an
-    # n-node tree can have.
-    fits = {d for d in range(-n, n + 1) if d in allowed}
     # heights[m] holds the heights of the members with m nodes: a member
     # is a node over two members whose heights differ by an allowed value.
     heights = [{0}]
@@ -194,7 +205,7 @@ def _family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
             pair = {h for h in reached if h - h_left in fits}
             if not pair:
                 continue
-            rights = _family(n - 1 - n_left, allowed)
+            rights = _family(n - 1 - n_left, fits)
             if pair == reached:
                 partners[n_left, h_left] = rights
             else:
@@ -203,7 +214,7 @@ def _family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
     lefts = sorted_by_text(
         t
         for n_left in left_sizes
-        for t in _family(n_left, allowed)
+        for t in _family(n_left, fits)
         if (n_left, t.height) in partners
     )
     out: list[BinaryTree] = []

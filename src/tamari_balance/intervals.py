@@ -40,7 +40,6 @@ from .tamari import (
     comparable_pairs,
     hasse_dot,
     right_rotation,
-    rotation_ranks,
 )
 from .trees import BinaryTree, serialize, sorted_by_text
 
@@ -114,10 +113,11 @@ def rotation_root_set(t0: BinaryTree, t1: BinaryTree) -> RotationRootSet:
     Read off ``t0``'s moves in one pass: a right rotation raises one
     bracket vector entry, and each entry has at most one rotation that
     raises it, so the roots are the rotations of ``t0`` that raise an
-    entry straight to ``t1``'s value.  They must cover every entry where
-    the endpoints differ, be conservative balancing, include no left
-    child of another root, and, applied, reach ``t1``.  Endpoints must
-    be balanced and comparable.
+    entry straight to ``t1``'s value.  They must number the entries where
+    the endpoints differ, or :class:`CrossCheckError` names the routes
+    ``root set`` and ``bracket vectors``; they must also be conservative
+    balancing, include no left child of another root, and, applied, reach
+    ``t1``.  Endpoints must be balanced and comparable.
     """
     return _root_set(t0, t1, *_require_balanced_pair(t0, t1))
 
@@ -128,9 +128,12 @@ def _root_set(
     """:func:`rotation_root_set`, given the endpoints' bracket vectors."""
     # A rotation raises its entry strictly, so a root's entry differs.
     roots = [(rank, i) for rank, i, value in _vector_moves(t0) if value == upper[i]]
-    if len(roots) != sum(map(ne, lower, upper)):
-        raise AssertionError(
-            "no conservative rotation advances toward the upper endpoint"
+    differing = sum(map(ne, lower, upper))
+    if len(roots) != differing:
+        raise CrossCheckError(
+            f"cube dimension routes disagree on [{serialize(t0)}, {serialize(t1)}]",
+            ("root set", "bracket vectors"),
+            (len(roots), differing),
         )
     ranks = frozenset(rank for rank, _ in roots)
     for rank, i in roots:
@@ -201,9 +204,9 @@ def _dimension_histogram(
     """Cube dimension counts over ``pairs``, smallest first, each pair
     verified by :func:`verify_hypercube`: a non-cube raises
     :class:`CrossCheckError`, its ``2^k`` subset images against the
-    interval that the cover walk finds, and so does a dimension other
-    than the number of entries where the endpoints' bracket vectors
-    differ.  Each tree's vector is computed once per call."""
+    interval that the cover walk finds, and so does a root set that does
+    not number the entries where the endpoints' bracket vectors differ.
+    Each tree's vector is computed once per call."""
     histogram: dict[int, int] = {}
     vectors: dict[BinaryTree, tuple[int, ...]] = {}
     for lower, upper in pairs:
@@ -219,14 +222,6 @@ def _dimension_histogram(
                 f"[{serialize(lower)}, {serialize(upper)}] is not a hypercube",
                 ("subset images", "cover walk"),
                 (1 << k, len(_members_between(lower, low, high))),
-            )
-        differing = sum(map(ne, low, high))
-        if k != differing:
-            raise CrossCheckError(
-                f"cube dimension routes disagree on "
-                f"[{serialize(lower)}, {serialize(upper)}]",
-                ("root set", "bracket vectors"),
-                (k, differing),
             )
         histogram[k] = histogram.get(k, 0) + 1
     return dict(sorted(histogram.items()))
@@ -410,21 +405,25 @@ def balanced_subposet(n: int) -> BalancedSubposet:
     """Restriction of the rotation order to the balanced trees of size ``n``.
 
     Edges are the covers with both ends balanced; by the closure theorem
-    these generate the full restricted order.
+    these generate the full restricted order.  The trees are keyed by
+    bracket vector, and a move is an edge when the vector it raises is a
+    key.  Those must be exactly the moves that :func:`.classify_rotation`
+    calls conservative balancing, or :class:`CrossCheckError` names the
+    routes ``rotation table`` and ``balanced trees``.
     """
     trees = balanced_trees(n)
+    by_vector = {bracket_vector(t): t for t in trees}
     edges = []
-    for t in trees:
-        for rank in rotation_ranks(t):
-            if (
-                classify_rotation(t, rank).kind
-                is RotationKind.CONSERVATIVE_BALANCING
-            ):
-                edges.append((t, right_rotation(t, rank)))
-    for src, dst in edges:
-        if not is_balanced(dst):
-            raise AssertionError(
-                f"conservative rotation left the balanced trees: "
-                f"{serialize(src)} -> {serialize(dst)}"
-            )
+    for vector, t in by_vector.items():
+        for rank, i, value in _vector_moves(t):
+            dst = by_vector.get(vector[:i] + (value,) + vector[i + 1 :])
+            kind = classify_rotation(t, rank).kind
+            if (kind is RotationKind.CONSERVATIVE_BALANCING) != (dst is not None):
+                raise CrossCheckError(
+                    f"rotation at rank {rank} of {serialize(t)}",
+                    ("rotation table", "balanced trees"),
+                    (kind.value, "balanced" if dst is not None else "unbalanced"),
+                )
+            if dst is not None:
+                edges.append((t, dst))
     return BalancedSubposet(n, trees, tuple(edges))

@@ -28,7 +28,6 @@ from operator import le
 
 from . import limits
 from .trees import (
-    LEAF,
     BinaryTree,
     _Path,
     _graft,
@@ -378,25 +377,8 @@ def hasse_dot(
     Nodes are labeled with tree strings and listed in sorted tree-string
     order; each edge points from the smaller to the larger tree.
     """
-    nodes = set(trees) | {a for e in edges for a in e}
-    # Each distinct subtree's string is joined once from its children's,
-    # in a memo keyed by identity; the nodes keep the subtrees alive.
-    text = {id(LEAF): "."}
-    for t in nodes:
-        stack = [t]
-        while stack:
-            cur = stack.pop()
-            key = id(cur)
-            if key in text:
-                continue
-            left = text.get(id(cur.left))
-            right = text.get(id(cur.right))
-            if left is None or right is None:
-                stack += (cur, cur.right, cur.left)
-                continue
-            text[key] = "(" + left + right + ")"
-    labels = {t: text[id(t)] for t in nodes}
-    ordered = sorted(nodes, key=labels.__getitem__)
+    labels = {t: serialize(t) for t in {*trees, *(a for e in edges for a in e)}}
+    ordered = sorted(labels, key=labels.__getitem__)
     position = {t: i for i, t in enumerate(ordered)}
     lines = [f"digraph {graph_name} {{", "  rankdir=BT;"]
     for t, i in position.items():

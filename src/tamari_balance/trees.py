@@ -176,7 +176,7 @@ def parse(text: str) -> BinaryTree:
             stack.append([])
             continue
         if c == ".":
-            done: BinaryTree | None = LEAF
+            done = LEAF
         elif c == ")":
             if not stack:
                 raise TreeParseError("unmatched ')'", i)
@@ -188,15 +188,12 @@ def parse(text: str) -> BinaryTree:
             done = node(frame[0], frame[1])
         else:
             raise TreeParseError(f"unexpected character {c!r}", i)
-        while done is not None:
-            if not stack:
-                root = done
-                done = None
-            else:
-                stack[-1].append(done)
-                if len(stack[-1]) > 2:
-                    raise TreeParseError("node has more than 2 subtrees", i)
-                done = None
+        if not stack:
+            root = done
+        else:
+            stack[-1].append(done)
+            if len(stack[-1]) > 2:
+                raise TreeParseError("node has more than 2 subtrees", i)
     if stack:
         raise TreeParseError("unclosed '('", len(text))
     if root is None:

@@ -275,13 +275,19 @@ def test_ac09_tree_families():
                 if j != i:
                     assert not up >> j & 1
 
-    for n in range(1, 10):
+    # Each canopy class is built once and read by both loops below.
+    classes = {
+        n: [
+            canopy_class(word, n)
+            for word in sorted({canopy(t) for t in all_trees(n)})
+        ]
+        for n in range(1, 10)
+    }
+    for n, row in classes.items():
         poset = poset_for(n)
-        words = sorted({canopy(t) for t in all_trees(n)})
-        assert len(words) == 2 ** (n - 1)
+        assert len(row) == 2 ** (n - 1)
         covered = 0
-        for word in words:
-            cls = canopy_class(word, n)
+        for cls in row:
             members = set(cls.members)
             covered += len(members)
             span = mask_indices(
@@ -293,13 +299,12 @@ def test_ac09_tree_families():
 
     for n in range(1, 9):
         assert list(narayana_row(n)) == NARAYANA_ROWS[n]
-    for n in range(1, 10):
-        words = {canopy(t) for t in all_trees(n)}
+    for n, row in classes.items():
         for k in range(n):
             union: set = set()
-            for word in words:
-                if word.count("1") == k:
-                    union.update(canopy_class(word, n).members)
+            for cls in row:
+                if cls.word.count("1") == k:
+                    union.update(cls.members)
             assert set(narayana_class(n, k)) == union
 
     for text in (

@@ -556,6 +556,23 @@ class TestCheck:
             "routes": {"subset images": 4, "cover walk": 2},
         }
 
+    def test_root_count_mismatch_is_a_fail(self, capsys, monkeypatch):
+        real = intervals._vector_moves
+        monkeypatch.setattr(intervals, "_vector_moves", lambda t: list(real(t))[1:])
+        argv = ("check", "hypercube", "--max-n", "4")
+        error = "cube dimension routes disagree on [((..).), (.(..))]: 0 vs 1"
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"FAIL: {error}\n"
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        assert payload == {
+            "verdict": "FAIL",
+            "error": error,
+            "routes": {"root set": 0, "bracket vectors": 1},
+        }
+
     def test_serial_sweep_stops_at_the_first_break(self, capsys, monkeypatch):
         swept = []
         real = cli._closure_at

@@ -154,6 +154,13 @@ class TestImbalanceFamilies:
             )
             assert balanced_trees(n) == tuple(brute)
 
+    @pytest.mark.parametrize("n", [0, 1, 5, 12])
+    def test_spellings_of_one_set_share_one_family(self, n):
+        assert imbalance_family(n, ImbalanceSet.parse("-1..1")) is balanced_trees(n)
+        assert imbalance_family(n, ImbalanceSet.parse("0..1")) is imbalance_family(
+            n, ImbalanceSet.of(0, 1)
+        )
+
     def test_zero_only_gives_perfect_trees(self):
         v = ImbalanceSet.of(0)
         for n in range(16):

@@ -338,11 +338,8 @@ class TestIntervalCounts:
         script = "\n".join(
             [
                 "from tamari_balance import intervals",
-                "real_verify = intervals._verify_cube",
-                "def one_too_many(lower, upper, *vectors):",
-                "    k, _ = real_verify(lower, upper, *vectors)",
-                "    return k + 1, True",
-                "intervals._verify_cube = one_too_many",
+                "real = intervals._vector_moves",
+                "intervals._vector_moves = lambda t: list(real(t))[1:]",
                 "try:",
                 "    intervals.hypercube_histogram(4)",
                 "except intervals.CrossCheckError as exc:",
@@ -357,9 +354,9 @@ class TestIntervalCounts:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines() == [
-            "('root set', 'bracket vectors') (1, 0)",
+            "('root set', 'bracket vectors') (0, 1)",
             "cube dimension routes disagree on "
-            "[(((..).)(..)), (((..).)(..))]: 1 vs 0",
+            "[(((..).)(..)), ((.(..))(..))]: 0 vs 1",
         ]
 
 
@@ -424,6 +421,53 @@ class TestBalancedSubposet:
                 if tamari_leq(lower, upper):
                     k, ok = verify_hypercube(lower, upper)
                     assert ok
+
+    @pytest.mark.parametrize(
+        "misread, claimed, image",
+        [
+            pytest.param(
+                "is", "SIMPLY_UNBALANCING", "balanced",
+                id="conservative-read-as-unbalancing",
+            ),
+            pytest.param(
+                "is not", "CONSERVATIVE_BALANCING", "unbalanced",
+                id="unbalancing-read-as-conservative",
+            ),
+        ],
+    )
+    def test_misread_rotation_raises_under_optimize(self, misread, claimed, image):
+        # The first move that is (or is not) conservative reads as `claimed`.
+        script = "\n".join(
+            [
+                "from tamari_balance import intervals",
+                "from tamari_balance.balance import RotationKind",
+                "from tamari_balance._record import replace",
+                "real = intervals.classify_rotation",
+                "flipped = []",
+                "def misread(t, rank):",
+                "    found = real(t, rank)",
+                f"    if not flipped and found.kind {misread}"
+                " RotationKind.CONSERVATIVE_BALANCING:",
+                "        flipped.append(rank)",
+                f"        return replace(found, kind=RotationKind.{claimed})",
+                "    return found",
+                "intervals.classify_rotation = misread",
+                "try:",
+                "    intervals.balanced_subposet(5)",
+                "except intervals.CrossCheckError as exc:",
+                "    print(exc.routes, exc.values)",
+                "else:",
+                "    raise SystemExit('no error raised')",
+            ]
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        kind = getattr(RotationKind, claimed).value
+        assert result.stdout.splitlines() == [
+            f"('rotation table', 'balanced trees') ('{kind}', '{image}')"
+        ]
 
     def test_dot_output_is_stable(self):
         sub = balanced_subposet(5)
