@@ -24,7 +24,7 @@ from collections.abc import Iterator, Sequence
 
 from . import limits
 from ._record import frozen
-from .families import ImbalanceSet, _family, _members, imbalance_family
+from .families import ImbalanceSet, _family, imbalance_family
 from .tamari import RotationError
 from .trees import (
     LEAF,
@@ -79,7 +79,7 @@ def balanced_trees_of_height(h: int) -> tuple[BinaryTree, ...]:
     # The height window is exact: smaller heights cannot reach h, and
     # trees of height h and up also occur below 2**(h - 1) nodes.  Those
     # sizes stay under the family's cap, so its cache is read directly.
-    fits = _members(_BALANCED)
+    fits = _BALANCED._fits
     below = sorted_by_text(
         t
         for a in range(2 ** (h - 1))

@@ -72,6 +72,19 @@ class ImbalanceSet:
             raise ValueError(f"empty interval {self.lower}..{self.upper}")
         if 0 not in self:
             raise ValueError("an imbalance set must contain 0")
+        # The key of _family, made once: the allowed values within
+        # limits.IMBALANCE_FAMILY's bound, which no imbalance of an
+        # accepted size passes, so two spellings of one set, such as -1..1
+        # and -1,0,1, share one cached family.  Not a field, so ==, hash
+        # and repr do not read it.
+        bound = limits.IMBALANCE_FAMILY.bound
+        if self.values is not None:
+            fits = frozenset(d for d in self.values if -bound <= d <= bound)
+        else:
+            low = -bound if self.lower is None else max(self.lower, -bound)
+            high = bound if self.upper is None else min(self.upper, bound)
+            fits = frozenset(range(low, high + 1))
+        object.__setattr__(self, "_fits", fits)
 
     @classmethod
     def of(cls, *values: int) -> "ImbalanceSet":
@@ -155,26 +168,13 @@ def imbalance_family(n: int, allowed: ImbalanceSet) -> tuple[BinaryTree, ...]:
     if n < 0:
         raise ValueError("node count must be nonnegative")
     limits.IMBALANCE_FAMILY.check(n)
-    return _family(n, _members(allowed))
-
-
-def _members(allowed: ImbalanceSet) -> frozenset[int]:
-    """The allowed values within ``limits.IMBALANCE_FAMILY``'s bound, which
-    no imbalance of an accepted size passes: the key of :func:`_family`,
-    so two spellings of one set, such as ``-1..1`` and ``-1,0,1``, share
-    one cached family."""
-    bound = limits.IMBALANCE_FAMILY.bound
-    if allowed.values is not None:
-        return frozenset(d for d in allowed.values if -bound <= d <= bound)
-    low = -bound if allowed.lower is None else max(allowed.lower, -bound)
-    high = bound if allowed.upper is None else min(allowed.upper, bound)
-    return frozenset(range(low, high + 1))
+    return _family(n, allowed._fits)
 
 
 @lru_cache(maxsize=None)
 def _family(n: int, fits: frozenset[int]) -> tuple[BinaryTree, ...]:
     """The family's members of size ``n``, built in tree-string order,
-    for the allowed imbalances ``fits`` that :func:`_members` gives.
+    for the allowed imbalances ``fits``, an :class:`ImbalanceSet`'s cache key.
 
     Tree strings are prefix-free, so ``"(" + L + R + ")"`` strings compare
     by ``L`` first, then by ``R``.  The members are ``node(L, R)`` for the

@@ -355,33 +355,31 @@ class BalancedSubposet:
 
     def components(self) -> list[tuple[tuple[BinaryTree, ...], int]]:
         """Connected components with their edge counts, largest first."""
-        neighbors: dict[BinaryTree, set[BinaryTree]] = {
-            t: set() for t in self.trees
-        }
+        neighbors: dict[BinaryTree, list[BinaryTree]] = {t: [] for t in self.trees}
         # Positions in tree-string order: members and ties sort by them.
         position = {t: i for i, t in enumerate(sorted_by_text(self.trees))}
         for src, dst in self.edges:
-            neighbors[src].add(dst)
-            neighbors[dst].add(src)
-        seen: set[BinaryTree] = set()
-        components = []
+            neighbors[src].append(dst)
+            neighbors[dst].append(src)
+        # Each tree's component index, given as the search reaches it.
+        index: dict[BinaryTree, int] = {}
+        groups: list[list[BinaryTree]] = []
         for start in self.trees:
-            if start in seen:
+            if start in index:
                 continue
-            stack = [start]
-            members = []
-            seen.add(start)
-            while stack:
-                cur = stack.pop()
-                members.append(cur)
+            index[start] = len(groups)
+            members = [start]
+            for cur in members:  # reads the members as the search adds them
                 for nxt in neighbors[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            member_set = set(members)
-            edge_count = sum(
-                1 for src, dst in self.edges if src in member_set
-            )
+                    if nxt not in index:
+                        index[nxt] = len(groups)
+                        members.append(nxt)
+            groups.append(members)
+        edge_counts = [0] * len(groups)
+        for src, _ in self.edges:
+            edge_counts[index[src]] += 1
+        components = []
+        for members, edge_count in zip(groups, edge_counts):
             members.sort(key=position.__getitem__)
             components.append((tuple(members), edge_count))
         components.sort(key=lambda item: (-len(item[0]), -item[1], position[item[0][0]]))

@@ -1,4 +1,5 @@
 import random
+import time
 from math import factorial
 
 import pytest
@@ -35,6 +36,7 @@ from tamari_balance.trees import (
     node,
     parse,
     serialize,
+    sorted_by_text,
     subtree_at,
 )
 
@@ -184,10 +186,19 @@ def test_order_queries_on_a_deep_comb():
     left_comb, right_comb, below = deep_trees(5000)
     assert bracket_vector(right_comb) == tuple(range(4999, -1, -1))
     assert tamari_leq(right_comb, right_comb)
-    assert interval(right_comb, right_comb) == (right_comb,)
     assert tamari_leq(below, right_comb)
     assert covers(below) == (right_comb,)
-    assert interval(below, right_comb) == (below, right_comb)
+    # The left comb's segments each hold a lower chain as long as the
+    # segment, the right comb's an upper chain: a root search from one
+    # side only would be quadratic on one of them.
+    for lower, upper, expected in [
+        (left_comb, left_comb, (left_comb,)),
+        (right_comb, right_comb, (right_comb,)),
+        (below, right_comb, (below, right_comb)),
+    ]:
+        start = time.perf_counter()
+        assert interval(lower, upper) == expected
+        assert time.perf_counter() - start < 1.0
     assert right_rotation(below, 5000) is right_comb
     assert left_rotation(right_comb, 5000) is below
     assert left_rotation(right_rotation(left_comb, 2), 2) is left_comb
@@ -245,9 +256,11 @@ def test_interval_walk_matches_the_cover_walk_exhaustively():
     for n in range(7):
         trees = all_trees(n)
         for lower, upper in comparable_pairs(trees, trees):
+            expected = cover_walk_interval(lower, upper)
             members, edges = tamari._interval_members(lower, upper)
-            assert members == cover_walk_interval(lower, upper)
+            assert members == expected
             assert_hasse_edges(members, edges)
+            assert interval(lower, upper) == tuple(sorted_by_text(expected))
 
 
 def _random_tree(rng, n):
@@ -277,9 +290,11 @@ def test_interval_walk_matches_the_cover_walk_on_random_pairs(n):
             right_comb = node(LEAF, right_comb)
         pairs.append((left_comb, right_comb))
     for lower, upper in pairs:
+        expected = cover_walk_interval(lower, upper)
         members, edges = tamari._interval_members(lower, upper)
-        assert members == cover_walk_interval(lower, upper)
+        assert members == expected
         assert_hasse_edges(members, edges)
+        assert interval(lower, upper) == tuple(sorted_by_text(expected))
 
 
 def test_poset_three_nodes_has_five_cover_edges():
