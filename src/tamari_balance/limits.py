@@ -32,16 +32,16 @@ class Limit:
 # Library enumerations.
 ALL_TREES = Limit(
     13, "all_trees node count",
-    "all_trees(13) takes 2.8-3.3 s and 239 MB; n=14 would take about 800 MB",
+    "all_trees(13) takes 1.8-2.0 s and 193 MB; n=14 would take about 650 MB",
 )
 TAMARI_POSET = Limit(
     12, "tamari_poset node count",
-    "tamari_poset(12) takes 5.6-8.4 s and 144 MB, growing about 3x per node",
+    "tamari_poset(12) takes 4.8-5.5 s and 121 MB, growing about 3x per node",
 )
 IMBALANCE_FAMILY = Limit(
     26, "imbalance_family node count",
     "the balanced family at n=26 is 1,199,384 trees, built in tree-string order "
-    "in 2.8-3.1 s and 277 MB",
+    "in 1.7-1.8 s and 223 MB",
 )
 WEIGHT_BALANCED = Limit(
     15, "weight_balanced_trees node count",
@@ -49,7 +49,7 @@ WEIGHT_BALANCED = Limit(
 )
 HEIGHT = Limit(
     5, "balanced_trees_of_height height",
-    "height 5 has 108,675 balanced trees, built in 0.11-0.14 s and 41 MB; "
+    "height 5 has 108,675 balanced trees, built in 0.09 s and 36 MB; "
     "height 6 has 11,878,720,875",
 )
 INTERIOR_HEIGHT = Limit(
@@ -74,7 +74,7 @@ BRUTE_INTERVALS = Limit(
 )
 CHECK_SWEEP = Limit(
     12, "check closure sweep size",
-    "closure-vbalanced --v=.. checks all 208,012 trees at n=12 in 2.8-3.1 s and 126 MB",
+    "closure-vbalanced --v=.. checks all 208,012 trees at n=12 in 3.0-3.4 s and 114 MB",
 )
 CHECK_HYPERCUBE = Limit(
     16, "check hypercube size",
@@ -92,5 +92,5 @@ HASSE_BALANCED = Limit(
 HASSE_INTERVAL = Limit(
     12, "hasse interval node count",
     "the widest interval at n=12 is the whole order, 208,012 trees and 36 MB "
-    "of DOT, in 6.2-6.3 s and 448 MB",
+    "of DOT, in 6.7-8.1 s and 449 MB",
 )

@@ -21,8 +21,11 @@ right subtrees ``R`` and interns each under its children's identities.
 library (:func:`parse`, the rotations, the generators of families)
 goes through one of the two, so structurally equal trees are the same
 object and equality is identity.  The hash stays structural, so set
-orders do not depend on addresses.  Instances are immutable and safe to
-share.
+orders do not depend on addresses, and it is computed on first use:
+:func:`nodes_over` leaves it empty, and :func:`_fill_hash` fills it for
+a tree and its unhashed descendants, bottom-up, when something first
+puts the tree in a set or a dict.  Enumerations that never hash their
+trees never pay for it.  Instances are immutable and safe to share.
 
 :func:`sorted_by_text` is the library's one tree-string sort: the order
 of ``sorted(trees, key=serialize)``, reached without building a string.
@@ -64,7 +67,9 @@ class BinaryTree:
     Nodes are made in one place, :func:`nodes_over`, which fills these
     slots and interns the result; :data:`LEAF` is made once at import.
     Build trees with :func:`node`, :func:`nodes_over` or :func:`parse`;
-    calling ``BinaryTree(...)`` raises :class:`TypeError`.
+    calling ``BinaryTree(...)`` raises :class:`TypeError`.  The
+    ``_hash`` slot stays ``None`` until the first :func:`hash`, which
+    fills it through :func:`_fill_hash`.
     """
 
     __slots__ = ("left", "right", "node_count", "height", "_hash")
@@ -80,7 +85,8 @@ class BinaryTree:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        return _fill_hash(self) if h is None else h
 
     def __repr__(self) -> str:
         return f"parse({serialize(self)!r})"
@@ -115,6 +121,31 @@ The odd part added here gives each its own.
 _INTERN: dict[int, BinaryTree] = {}
 
 
+def _fill_hash(t: BinaryTree) -> int:
+    """Fill the empty ``_hash`` slots of ``t`` and its descendants, and
+    return ``t``'s.
+
+    Each node gets ``hash((hash(left), node_count, hash(right)))``, after
+    its children.  The stack holds a path from ``t`` down: the top goes
+    down to a child whose slot is still empty, or is filled and popped.
+    Every subtree is filled at most once, however many paths reach it.
+    """
+    stack = [t]
+    while stack:
+        cur = stack[-1]
+        left_hash = cur.left._hash
+        if left_hash is None:
+            stack.append(cur.left)
+            continue
+        right_hash = cur.right._hash
+        if right_hash is None:
+            stack.append(cur.right)
+            continue
+        cur._hash = hash((left_hash, cur.node_count, right_hash))
+        stack.pop()
+    return t._hash
+
+
 def node(left: BinaryTree = LEAF, right: BinaryTree = LEAF) -> BinaryTree:
     """Return the (interned) tree with the given subtrees.
 
@@ -135,13 +166,14 @@ def nodes_over(left: BinaryTree, rights: Iterable[BinaryTree]) -> list[BinaryTre
     id(right)``: smaller than a tuple of two ids, and distinct for
     distinct pairs.  Interned trees are never freed, so the ids of the
     children, themselves interned, are never reused.  The left child's
-    part of the key and its count, height and hash are read once per
-    row; a miss fills the slots of a new :class:`BinaryTree` directly.
+    part of the key and its count and height are read once per row; a
+    miss fills the slots of a new :class:`BinaryTree` directly and
+    leaves its hash empty, for :func:`_fill_hash` to compute on first
+    use.
     """
     base = id(left) * _SPREAD
     count = 1 + left.node_count
     left_height = left.height
-    left_hash = left._hash
     out: list[BinaryTree] = []
     for right in rights:
         key = base + id(right)
@@ -150,10 +182,10 @@ def nodes_over(left: BinaryTree, rights: Iterable[BinaryTree]) -> list[BinaryTre
             t = BinaryTree.__new__(BinaryTree)
             t.left = left
             t.right = right
-            t.node_count = size = count + right.node_count
+            t.node_count = count + right.node_count
             right_height = right.height
             t.height = 1 + (left_height if left_height > right_height else right_height)
-            t._hash = hash((left_hash, size, right._hash))
+            t._hash = None
             _INTERN[key] = t
         out.append(t)
     return out

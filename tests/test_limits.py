@@ -1,7 +1,7 @@
 """The size-bound table is what the library and the CLI enforce.
 
 No library function is called at or above its bound except to see it
-refuse: ``all_trees(14)`` alone would take about 800 MB.
+refuse: ``all_trees(14)`` alone would take about 650 MB.
 """
 
 import pytest

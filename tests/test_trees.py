@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import pickle
 import pkgutil
 import random
@@ -292,6 +293,7 @@ def test_rank_walks_and_mirror_on_deep_combs():
 def test_no_walk_recurses_by_height():
     # all_trees recurses by size, which limits.ALL_TREES caps; every other
     # function of these modules loops, so any depth is in reach.
+    scanned = set()
     for module in (
         tamari_balance.trees,
         tamari_balance.tamari,
@@ -306,6 +308,9 @@ def test_no_walk_recurses_by_height():
                 ast.unparse(c.func) for c in ast.walk(fn) if isinstance(c, ast.Call)
             }
             assert not {fn.name, f"self.{fn.name}"} & called, fn.name
+            scanned.add(fn.name)
+    # The lazy hash: ``__hash__`` hands an unhashed tree to one loop.
+    assert {"__hash__", "_fill_hash"} <= scanned
     for rotation in (right_rotation, left_rotation):
         body = ast.parse(inspect.getsource(rotation)).body[0]
         nested = [d for d in ast.walk(body) if isinstance(d, ast.FunctionDef)]
@@ -348,6 +353,115 @@ def test_hash_is_structural():
 
     for t in _generated_trees():
         assert (t.node_count, t.height, hash(t)) == fields(t)
+
+
+def _run_json(script: str, *args: str) -> object:
+    """Run ``script`` in a fresh interpreter with a fixed string-hash seed
+    (``hash(LEAF)`` hashes a string) and read its JSON output."""
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONHASHSEED": "29"},
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_hash_is_filled_on_first_use_for_exactly_the_subtrees():
+    script = "\n".join(
+        [
+            "import json",
+            "from tamari_balance import trees",
+            "every = trees.all_trees(8)",
+            "before = sum(t._hash is not None for t in trees._INTERN.values())",
+            "t = every[777]",
+            "hash(t)",
+            "hashed = {id(u) for u in trees._INTERN.values() if u._hash is not None}",
+            "subtrees, stack = set(), [t]",
+            "while stack:",
+            "    cur = stack.pop()",
+            "    if cur.left is not None and id(cur) not in subtrees:",
+            "        subtrees.add(id(cur))",
+            "        stack += (cur.left, cur.right)",
+            "print(json.dumps({",
+            "    'interned': len(trees._INTERN),",
+            "    'before': before,",
+            "    'exact': hashed == subtrees,",
+            "    'subtrees': len(subtrees),",
+            "}))",
+        ]
+    )
+    got = _run_json(script)
+    assert got["interned"] == 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430
+    assert got["before"] == 0
+    # Hash-consing shares repeated subtrees, so at most 8 of them.
+    assert got["exact"] and 0 < got["subtrees"] <= 8
+
+
+def test_hash_does_not_depend_on_the_order_trees_are_hashed_in():
+    # One process hashes every subtree before its tree; the other hashes
+    # the largest trees first, so their subtrees are filled on the way.
+    script = "\n".join(
+        [
+            "import json, sys",
+            "from tamari_balance.trees import LEAF, all_trees, node, serialize",
+            "rows = [all_trees(n) for n in range(8)]",
+            "spines = []",
+            "for down in ('left', 'right'):",
+            "    t = LEAF",
+            "    for _ in range(300):",
+            "        t = node(t, node()) if down == 'left' else node(node(), t)",
+            "    spine = [t]",
+            "    while spine[-1].left is not None:",
+            "        spine.append(getattr(spine[-1], down))",
+            "    spines.append(spine)",
+            "if sys.argv[1] == 'smallest-first':",
+            "    pooled = [t for row in rows for t in row]",
+            "    pooled += [t for spine in spines for t in reversed(spine)]",
+            "else:",
+            "    pooled = [t for spine in spines for t in spine]",
+            "    pooled += [t for row in reversed(rows) for t in row]",
+            "print(json.dumps([(serialize(t), hash(t)) for t in pooled]))",
+        ]
+    )
+    smallest, largest = (
+        dict(_run_json(script, order)) for order in ("smallest-first", "largest-first")
+    )
+    # Each spine holds trees of 0, 2, ..., 600 nodes; 297 of them have more than 7.
+    assert len(smallest) == sum(len(all_trees(n)) for n in range(8)) + 2 * 297
+    assert smallest == largest
+
+
+def test_deep_combs_hash_without_recursion():
+    script = "\n".join(
+        [
+            "import json",
+            "from tamari_balance.trees import LEAF, node",
+            "left_comb = right_comb = LEAF",
+            "for _ in range(5000):",
+            "    left_comb = node(left_comb, LEAF)",
+            "    right_comb = node(LEAF, right_comb)",
+            "empty = hash(LEAF)",
+            "roots = [hash(left_comb), hash(right_comb)]",
+            "# Down each comb's spine, then back up: each node's hash must be",
+            "# the formula over the values checked below it.",
+            "mismatches = 0",
+            "for comb, down in ((left_comb, 'left'), (right_comb, 'right')):",
+            "    spine = [comb]",
+            "    while spine[-1].left is not None:",
+            "        spine.append(getattr(spine[-1], down))",
+            "    expected = empty",
+            "    for count, t in enumerate(reversed(spine)):",
+            "        mismatches += hash(t) != expected",
+            "        pair = (expected, empty) if down == 'left' else (empty, expected)",
+            "        expected = hash((pair[0], count + 1, pair[1]))",
+            "print(json.dumps({'roots': roots, 'mismatches': mismatches}))",
+        ]
+    )
+    got = _run_json(script)
+    assert got["mismatches"] == 0
+    assert got["roots"][0] != got["roots"][1]
 
 
 def test_intern_table_holds_one_entry_per_shape():
