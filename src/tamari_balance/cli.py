@@ -64,8 +64,8 @@ from .intervals import (
 )
 from .patterns import BalanceFlag, classify_balanced, interior_count
 from .polynomials import _format_terms
-from .tamari import _interval_members, hasse_dot, tamari_leq
-from .trees import LEAF, TreeParseError, node, parse, serialize
+from .tamari import IncomparableError, _covers_among, bracket_vector, hasse_dot, interval
+from .trees import LEAF, BinaryTree, TreeParseError, node, parse, serialize
 
 
 class UsageError(ValueError):
@@ -497,6 +497,22 @@ def _capped(command: str, limit: limits.Limit, n: int) -> None:
         raise UsageError(f"{command} is capped at n={limit.bound}, got {n}")
 
 
+def _interval_graph(
+    lower: BinaryTree, upper: BinaryTree
+) -> tuple[tuple[BinaryTree, ...], list[tuple[BinaryTree, BinaryTree]]]:
+    """The interval's members, in tree-string order, and its Hasse edges:
+    each member's moves whose raised bracket vector is a member's."""
+    members = interval(lower, upper)
+    by_vector = {bracket_vector(t): t for t in members}
+    edges = [
+        (t, hit)
+        for vector, t in by_vector.items()
+        for _, _, _, hit in _covers_among(t, vector, by_vector)
+        if hit is not None
+    ]
+    return members, edges
+
+
 def _hasse_graph(args: argparse.Namespace) -> tuple[str, int, int]:
     if args.target == "tamari":
         _capped("hasse tamari", limits.HASSE_TAMARI, args.n)
@@ -504,7 +520,7 @@ def _hasse_graph(args: argparse.Namespace) -> tuple[str, int, int]:
         lower = upper = LEAF
         for _ in range(args.n):
             lower, upper = node(lower, LEAF), node(LEAF, upper)
-        members, edges = _interval_members(lower, upper)
+        members, edges = _interval_graph(lower, upper)
         return hasse_dot(members, edges), len(members), len(edges)
     if args.target == "balanced":
         _capped("hasse balanced", limits.HASSE_BALANCED, args.n)
@@ -521,11 +537,12 @@ def _hasse_graph(args: argparse.Namespace) -> tuple[str, int, int]:
             f"{lower.node_count} and {upper.node_count} nodes"
         )
     _capped("hasse interval", limits.HASSE_INTERVAL, lower.node_count)
-    if not tamari_leq(lower, upper):
+    try:
+        members, edges = _interval_graph(lower, upper)
+    except IncomparableError:
         raise UsageError(
             f"empty interval: {args.lower} does not precede {args.upper}"
-        )
-    members, edges = _interval_members(lower, upper)
+        ) from None
     dot = hasse_dot(
         members, edges, highlight=frozenset({lower, upper}), graph_name="interval"
     )

@@ -28,7 +28,9 @@ from functools import lru_cache
 
 from . import limits
 from ._record import frozen
-from .tamari import _vector_moves, bracket_vector, comparable_pairs, phi, right_rotation
+from .tamari import (
+    _covers_among, _vector_moves, bracket_vector, comparable_pairs, phi, right_rotation
+)
 from .trees import (
     LEAF,
     BinaryTree,
@@ -267,16 +269,15 @@ def closure_check(
     if len({t.node_count for t in members}) > 1:
         raise ValueError("closure check needs trees of one size")
     vectors = [bracket_vector(t) for t in members]
-    # Member vectors map to None, each leaving cover's vector to the first
-    # member that reached it.  Only leaving covers are built, each once: no
-    # member was above one the first time, so none is above it later.
-    reached: dict[tuple[int, ...], BinaryTree | None] = dict.fromkeys(vectors)
+    # Member vectors map to their members, each leaving cover's vector to
+    # the first member that reached it.  Only leaving covers are built, each
+    # once: no member was above one the first time, so none is above it later.
+    reached = dict(zip(vectors, members))
 
     def leaving():
         for t, vector in zip(members, vectors):
-            for rank, i, value in _vector_moves(t):
-                raised = vector[:i] + (value,) + vector[i + 1 :]
-                if raised not in reached:
+            for rank, _, raised, hit in _covers_among(t, vector, reached):
+                if hit is None:
                     reached[raised] = t
                     yield right_rotation(t, rank)
 

@@ -33,7 +33,8 @@ from .polynomials import Monomial, Polynomial
 from .tamari import (
     IncomparableError,
     _comparable_count,
-    _members_between,
+    _covers_among,
+    _root_split,
     _size_mismatch,
     _vector_moves,
     bracket_vector,
@@ -158,10 +159,11 @@ def verify_hypercube(t0: BinaryTree, t1: BinaryTree) -> tuple[int, bool]:
     in ascending and in descending rank order, and checks that the two
     orders agree, that each image's bracket vector is ``t0``'s with
     ``t1``'s entries at its subset's roots, and that the images are the
-    interval that the cover walk finds.  Those vectors are distinct, so
-    the images are, and subset inclusion is the rotation order among
-    them (Huang and Tamari, 1972).  Endpoints must be balanced and
-    comparable.
+    whole interval: each member is reached from ``t0`` by covers that
+    stay at or below ``t1``, so every such cover of an image must be an
+    image, looked up by its vector.  Those vectors are distinct, so the
+    images are, and subset inclusion is the rotation order among them
+    (Huang and Tamari, 1972).  Endpoints must be balanced and comparable.
     """
     return _verify_cube(t0, t1, *_require_balanced_pair(t0, t1))
 
@@ -193,8 +195,11 @@ def _verify_cube(
         expected[subset] = below[:i] + (upper[i],) + below[i + 1 :]
     if list(map(bracket_vector, images)) != expected:
         return k, False
-    if set(images) != set(_members_between(t0, lower, upper).values()):
-        return k, False
+    by_vector = dict(zip(expected, images))
+    for vector, image in by_vector.items():
+        for _, i, raised, hit in _covers_among(image, vector, by_vector):
+            if hit is None and raised[i] <= upper[i]:
+                return k, False
     return k, True
 
 
@@ -204,9 +209,9 @@ def _dimension_histogram(
     """Cube dimension counts over ``pairs``, smallest first, each pair
     verified by :func:`verify_hypercube`: a non-cube raises
     :class:`CrossCheckError`, its ``2^k`` subset images against the
-    interval that the cover walk finds, and so does a root set that does
-    not number the entries where the endpoints' bracket vectors differ.
-    Each tree's vector is computed once per call."""
+    members that :func:`.tamari._root_split` builds, and so does a root
+    set that does not number the entries where the endpoints' bracket
+    vectors differ.  Each tree's vector is computed once per call."""
     histogram: dict[int, int] = {}
     vectors: dict[BinaryTree, tuple[int, ...]] = {}
     for lower, upper in pairs:
@@ -220,8 +225,8 @@ def _dimension_histogram(
         if not ok:
             raise CrossCheckError(
                 f"[{serialize(lower)}, {serialize(upper)}] is not a hypercube",
-                ("subset images", "cover walk"),
-                (1 << k, len(_members_between(lower, low, high))),
+                ("subset images", "root split"),
+                (1 << k, len(_root_split(low, high))),
             )
         histogram[k] = histogram.get(k, 0) + 1
     return dict(sorted(histogram.items()))
@@ -413,8 +418,7 @@ def balanced_subposet(n: int) -> BalancedSubposet:
     by_vector = {bracket_vector(t): t for t in trees}
     edges = []
     for vector, t in by_vector.items():
-        for rank, i, value in _vector_moves(t):
-            dst = by_vector.get(vector[:i] + (value,) + vector[i + 1 :])
+        for rank, _, _, dst in _covers_among(t, vector, by_vector):
             kind = classify_rotation(t, rank).kind
             if (kind is RotationKind.CONSERVATIVE_BALANCING) != (dst is not None):
                 raise CrossCheckError(

@@ -83,7 +83,7 @@ CHECK_HYPERCUBE = Limit(
 )
 HASSE_TAMARI = Limit(
     10, "hasse tamari node count",
-    "n=10 is 16,796 trees and 2.3 MB of DOT in 0.3-0.4 s and 46 MB",
+    "n=10 is 16,796 trees and 2.3 MB of DOT in 0.3-0.6 s and 44 MB",
 )
 HASSE_BALANCED = Limit(
     15, "hasse balanced node count",
@@ -92,5 +92,5 @@ HASSE_BALANCED = Limit(
 HASSE_INTERVAL = Limit(
     12, "hasse interval node count",
     "the widest interval at n=12 is the whole order, 208,012 trees and 36 MB "
-    "of DOT, in 6.7-8.1 s and 449 MB",
+    "of DOT, in 6.6-9.9 s and 415 MB",
 )

@@ -17,8 +17,8 @@ above which trees of another is decided by :func:`comparable_pairs`.
 :func:`interval` splits the endpoints' vectors at the root: a member's
 vector is its left part's, its root's entry, then its right part's, so
 the members are built from the members of smaller segments, each once.
-Walks through the order, which the Hasse diagrams need, step by
-:func:`_vector_moves`.
+Which members one rotation joins, the edges of a Hasse diagram, is read
+off the members keyed by bracket vector by :func:`_covers_among`.
 :func:`tamari_poset` materializes all trees of one size with their cover
 edges and reachability masks; it is the test oracle for these routes.
 """
@@ -130,6 +130,21 @@ def _vector_moves(t: BinaryTree) -> Iterator[tuple[int, int, int]]:
         if x.node_count:
             b = x.right.node_count
             yield rank, rank - b - 2, b + sub.right.node_count + 1
+
+
+def _covers_among(
+    t: BinaryTree, vector: tuple[int, ...], by_vector: dict[tuple[int, ...], BinaryTree]
+) -> Iterator[tuple[int, int, tuple[int, ...], BinaryTree | None]]:
+    """Yield ``(rank, index, raised, hit)`` for every right rotation of
+    ``t``, whose bracket vector is ``vector``, in increasing rank order.
+
+    The rotation at ``rank`` raises entry ``index``, giving the vector
+    ``raised``, and ``hit`` is the tree ``by_vector`` keys by it, or
+    ``None``.  A vector determines its tree, so no rotation is made.
+    """
+    for rank, i, value in _vector_moves(t):
+        raised = vector[:i] + (value,) + vector[i + 1 :]
+        yield rank, i, raised, by_vector.get(raised)
 
 
 def covers(t: BinaryTree) -> tuple[BinaryTree, ...]:
@@ -326,59 +341,6 @@ def _root_split(lower: tuple[int, ...], upper: tuple[int, ...]) -> list[BinaryTr
     return solved[0, n][1]
 
 
-def _interval_members(
-    t0: BinaryTree, t1: BinaryTree
-) -> tuple[set[BinaryTree], list[tuple[BinaryTree, BinaryTree]]]:
-    """The set of trees ``t`` with ``t0 <= t <= t1``, for ``t0 <= t1``,
-    and the ``(member, cover)`` pairs among them: the interval's Hasse
-    diagram, which only ``hasse`` draws.  See :func:`_members_between`.
-    """
-    edges: list[tuple[BinaryTree, BinaryTree]] = []
-    members = _members_between(t0, bracket_vector(t0), bracket_vector(t1), edges)
-    return set(members.values()), edges
-
-
-def _members_between(
-    t0: BinaryTree,
-    start: tuple[int, ...],
-    upper: tuple[int, ...],
-    edges: list[tuple[BinaryTree, BinaryTree]] | None = None,
-) -> dict[tuple[int, ...], BinaryTree]:
-    """The trees from ``t0``, whose bracket vector is ``start``, up to the
-    tree whose vector is ``upper``, keyed by bracket vector.  Given a list
-    as ``edges``, the walk also appends each ``(member, cover)`` pair to it.
-
-    Every member lies on a chain of covers from ``t0`` that stays below
-    the upper end.  A cover changes one vector entry, so the walk
-    compares that entry with ``upper``'s before it builds the cover, and
-    keys the members by vector, which determines the tree, so no member
-    is built twice.
-
-    :func:`interval` splits at the root instead; two callers stay on the
-    walk.  :func:`_interval_members` needs the covers, the edges of the
-    Hasse diagram.  The hypercube check's cross-check,
-    ``intervals._verify_cube``, meets mostly tiny intervals: 408 of the
-    534 comparable balanced pairs with n <= 10 have 1 or 2 members, and
-    over those pairs the walk takes about 9 us a pair, the split 37-39 us.
-    """
-    members = {start: t0}
-    stack = [(t0, start)]
-    while stack:
-        t, vector = stack.pop()
-        for rank, i, value in _vector_moves(t):
-            if value > upper[i]:
-                continue
-            raised = vector[:i] + (value,) + vector[i + 1 :]
-            nxt = members.get(raised)
-            if nxt is None:
-                nxt = right_rotation(t, rank)
-                members[raised] = nxt
-                stack.append((nxt, raised))
-            if edges is not None:
-                edges.append((t, nxt))
-    return members
-
-
 class TamariPoset:
     """All trees of one size with cover edges and cached reachability.
 
@@ -484,9 +446,10 @@ def hasse_dot(
     """Render a Hasse diagram as DOT.
 
     Nodes are labeled with tree strings and listed in sorted tree-string
-    order; each edge points from the smaller to the larger tree.
+    order; each edge points from the smaller to the larger tree.  Both
+    ends of every edge must be among ``trees``.
     """
-    labels = {t: serialize(t) for t in {*trees, *(a for e in edges for a in e)}}
+    labels = {t: serialize(t) for t in trees}
     ordered = sorted(labels, key=labels.__getitem__)
     position = {t: i for i, t in enumerate(ordered)}
     lines = [f"digraph {graph_name} {{", "  rankdir=BT;"]

@@ -553,7 +553,7 @@ class TestCheck:
         assert payload == {
             "verdict": "FAIL",
             "error": error,
-            "routes": {"subset images": 4, "cover walk": 2},
+            "routes": {"subset images": 4, "root split": 2},
         }
 
     def test_root_count_mismatch_is_a_fail(self, capsys, monkeypatch):

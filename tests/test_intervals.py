@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import cover_walk_interval
-from tamari_balance import intervals
+from tamari_balance import intervals, tamari
 from tamari_balance.balance import (
     RotationKind,
     balanced_trees,
@@ -212,6 +212,29 @@ class TestVerifyHypercube:
                 assert verify_hypercube(lower, upper) == (len(ranks) - 1, False)
                 checked += 1
         assert checked > 100
+
+    @pytest.mark.parametrize(
+        "lower, upper, k",
+        [
+            ("((((..).)(..))((..).))", "((.(..))((..)(.(..))))", 3),
+            ("((((..).)((..).))((..).))", "((.(..))((.(..))(.(..))))", 4),
+        ],
+    )
+    def test_rotations_build_only_the_images_and_the_root_set(
+        self, monkeypatch, lower, upper, k
+    ):
+        # Both image orders make 2^k - 1 rotations each, and the root set
+        # makes k to reach the upper endpoint; the closure test makes none.
+        calls = []
+
+        def counting(t, rank):
+            calls.append(rank)
+            return right_rotation(t, rank)
+
+        monkeypatch.setattr(tamari, "right_rotation", counting)
+        monkeypatch.setattr(intervals, "right_rotation", counting)
+        assert verify_hypercube(parse(lower), parse(upper)) == (k, True)
+        assert len(calls) == 2 * (2**k - 1) + k
 
     def test_singleton(self):
         t = parse("((..)(..))")

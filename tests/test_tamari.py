@@ -252,15 +252,20 @@ def assert_hasse_edges(members, edges):
     assert set(edges) == expected
 
 
+def assert_interval_graph(lower, upper):
+    """The members and Hasse edges that ``hasse`` draws for an interval
+    are the cover walk's members, in tree-string order, and its covers."""
+    expected = cover_walk_interval(lower, upper)
+    members, edges = cli._interval_graph(lower, upper)
+    assert members == tuple(sorted_by_text(expected))
+    assert_hasse_edges(expected, edges)
+
+
 def test_interval_walk_matches_the_cover_walk_exhaustively():
     for n in range(7):
         trees = all_trees(n)
         for lower, upper in comparable_pairs(trees, trees):
-            expected = cover_walk_interval(lower, upper)
-            members, edges = tamari._interval_members(lower, upper)
-            assert members == expected
-            assert_hasse_edges(members, edges)
-            assert interval(lower, upper) == tuple(sorted_by_text(expected))
+            assert_interval_graph(lower, upper)
 
 
 def _random_tree(rng, n):
@@ -290,11 +295,7 @@ def test_interval_walk_matches_the_cover_walk_on_random_pairs(n):
             right_comb = node(LEAF, right_comb)
         pairs.append((left_comb, right_comb))
     for lower, upper in pairs:
-        expected = cover_walk_interval(lower, upper)
-        members, edges = tamari._interval_members(lower, upper)
-        assert members == expected
-        assert_hasse_edges(members, edges)
-        assert interval(lower, upper) == tuple(sorted_by_text(expected))
+        assert_interval_graph(lower, upper)
 
 
 def test_poset_three_nodes_has_five_cover_edges():
